@@ -39,9 +39,6 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();
-  config.attack.crowd_size = kCrowd;
-  config.attack.start = 0;
-  config.attack.duty = 0.5;
   config.experience_threshold_mb = 0.0;  // permissive baseline
   config.adaptive_threshold = adaptive;
   config.adaptive.t_min = 0.0;
@@ -50,7 +47,9 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
   config.adaptive.decay = 0.9;
   // The crowd also demotes the honest top moderator M1 (the first core
   // member) — this is what creates vote dispersion.
-  config.attack.victim = trace::earliest_arrivals(tr, 1).front();
+  adversary::StrategySpec crowd = bench::flash_crowd(kCrowd, 0.5);
+  crowd.victim = trace::earliest_arrivals(tr, 1).front();
+  config.adversary.roster.push_back(crowd);
 
   core::ScenarioRunner runner(tr, config, 0xA6 + index);
   const bench::AttackScenario scenario =

@@ -27,6 +27,7 @@
 #include "crypto/schnorr.hpp"
 #include "util/stats.hpp"
 #include "vote/agent.hpp"
+#include "vote/encounter.hpp"
 
 using namespace tribvote;
 
@@ -97,7 +98,7 @@ Outcome run(double voting_fraction, std::uint64_t seed) {
     while (j == i) j = static_cast<PeerId>(rng.next_below(kPeers));
     credence[i].observe(j, histories[j]);
     credence[j].observe(i, histories[i]);
-    vote::vote_exchange(*agents[i], *agents[j], round);
+    vote::vote_encounter(*agents[i], *agents[j], round);
   }
 
   Outcome out;

@@ -29,14 +29,16 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index) {
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();
-  config.attack.crowd_size = kCrowd;
-  config.attack.start = 0;
-  config.attack.duty = 1.0;          // moles stay online to gossip lies
-  config.attack.fake_experience = true;
-  config.attack.fake_mb = 10000.0;   // absurdly large claims
+  // Moles stay online to gossip lies; their claims are absurdly large.
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder,
+       .agents = kCrowd,
+       .fake_experience = true,
+       .fake_mb = 10000.0});
   core::ScenarioRunner runner(tr, config, 0xA5 + index);
 
   const std::size_t n_honest = runner.trace_peer_count();
+  const std::vector<PeerId> colluders = runner.adversary_layout().agents_of(0);
   metrics::TimeSeries maxflow_fooled, naive_fooled, honest_edges;
   runner.sample_every(2 * kHour, [&](Time t) {
     std::size_t by_maxflow = 0, by_naive = 0, honest = 0;
@@ -45,7 +47,7 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index) {
       if (!runner.has_arrived(i, t)) continue;
       ++arrived;
       const auto& agent = runner.node(i).barter();
-      for (const PeerId c : runner.colluders()) {
+      for (const PeerId c : colluders) {
         if (agent.contribution_of(c) >= kThresholdMb) ++by_maxflow;
         if (agent.naive_contribution_of(c) >= kThresholdMb) ++by_naive;
       }

@@ -22,6 +22,7 @@
 #include "crypto/schnorr.hpp"
 #include "util/stats.hpp"
 #include "vote/agent.hpp"
+#include "vote/encounter.hpp"
 
 using namespace tribvote;
 
@@ -99,8 +100,8 @@ Outcome run(vote::SelectionPolicy policy, std::uint64_t seed) {
     const auto i = static_cast<PeerId>(pair_rng.next_below(kVoters));
     auto j = static_cast<PeerId>(pair_rng.next_below(kVoters));
     while (j == i) j = static_cast<PeerId>(pair_rng.next_below(kVoters));
-    vote::vote_exchange(*pop.agents[i], *pop.agents[j],
-                        static_cast<Time>(kModerators + round));
+    vote::vote_encounter(*pop.agents[i], *pop.agents[j],
+                         static_cast<Time>(kModerators + round));
   }
   return evaluate(pop);
 }

@@ -42,9 +42,7 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
   config.vote.gossip_cache = bench::gossip_cache();
   config.vote.v_max = cfg.v_max;
   config.vote.k = cfg.k;
-  config.attack.crowd_size = kCoreSize;
-  config.attack.start = 0;
-  config.attack.duty = 0.5;
+  config.adversary.roster.push_back(bench::flash_crowd(kCoreSize, 0.5));
   core::ScenarioRunner runner(tr, config, 0xA3 + index);
   const bench::AttackScenario scenario =
       bench::setup_attack_scenario(runner, kCoreSize);

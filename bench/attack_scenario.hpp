@@ -5,7 +5,8 @@
 //     the honest top moderator M1 (pre-filled ballot boxes and pairwise
 //     transfer history, core members voted +M1);
 //   * a flash crowd of colluders promoting spam moderator M0 (always the
-//     first colluder id), arriving at t = 0 and churning like honest peers;
+//     first colluder id) — a `colluder` roster entry (flash_crowd below)
+//     arriving at t = 0 and churning like honest peers;
 //   * newly arrived normal nodes — everyone else — whose pollution
 //     (fraction ranking M0 top) is the reported metric.
 #pragma once
@@ -30,15 +31,24 @@ struct AttackScenario {
   }
 };
 
+/// The Fig. 8 flash crowd as an adversary roster entry: `agents` colluder
+/// identities arriving at t = 0, each online a `duty` fraction of the time
+/// in hour-long presence windows.
+inline adversary::StrategySpec flash_crowd(std::size_t agents, double duty) {
+  return {.kind = adversary::StrategyKind::kColluder,
+          .agents = agents,
+          .duty = duty};
+}
+
 /// Apply the pre-converged-core setup to a runner whose config already
-/// carries the flash-crowd AttackConfig. Call before run_until.
+/// carries a flash_crowd roster entry. Call before run_until.
 inline AttackScenario setup_attack_scenario(core::ScenarioRunner& runner,
                                             std::size_t core_size,
                                             double preseed_mb = 25.0) {
   AttackScenario scenario;
   scenario.core = trace::earliest_arrivals(runner.trace(), core_size);
   scenario.m1 = scenario.core.front();
-  scenario.m0 = runner.spam_moderator();
+  scenario.m0 = runner.adversary_layout().spam_moderator();
 
   runner.publish_moderation(scenario.m1, kMinute, "genuine popular release");
   for (const PeerId a : scenario.core) {

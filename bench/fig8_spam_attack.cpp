@@ -35,9 +35,8 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();
-  config.attack.crowd_size = crowd_size;
-  config.attack.start = 0;
-  config.attack.duty = 0.5;  // trace-like churn
+  // Trace-like churn: each colluder is online half the time.
+  config.adversary.roster.push_back(bench::flash_crowd(crowd_size, 0.5));
   core::ScenarioRunner runner(tr, config, 0xF18 + index);
   const bench::AttackScenario scenario =
       bench::setup_attack_scenario(runner, kCoreSize);

@@ -28,6 +28,7 @@
 #include "util/thread_pool.hpp"
 #include "vote/agent.hpp"
 #include "vote/ballot_box.hpp"
+#include "vote/encounter.hpp"
 #include "vote/voxpopuli.hpp"
 
 namespace {
@@ -290,9 +291,9 @@ void BM_RoundThroughput(benchmark::State& state) {
     }
     kernel.run_round(encounters,
                      [&](const sim::Encounter& e, std::size_t) {
-                       vote::vote_exchange(pop.nodes[e.initiator]->vote(),
-                                           pop.nodes[e.responder]->vote(),
-                                           now);
+                       vote::vote_encounter(pop.nodes[e.initiator]->vote(),
+                                            pop.nodes[e.responder]->vote(),
+                                            now);
                      });
     now += 60;
   }

@@ -14,8 +14,8 @@
 //     --threshold MB       experience threshold T         (default 5)
 //     --adaptive           use the adaptive threshold (§VII)
 //     --newscast           gossip PSS instead of the oracle
-//     --crowd N            flash-crowd colluders          (default 0)
-//     --core N             pre-converged core size        (default 20 if crowd>0)
+//     --core N             pre-converged core size        (default 20; used
+//                          when the adversary fields a spam moderator)
 //     --shards N           population worker shards       (default TRIBVOTE_SHARDS or 1)
 //     --ledger NAME        ledger backend map|sharded_log (default TRIBVOTE_LEDGER or map)
 //     --gossip-cache on|off  vote-history cache + delta gossip
@@ -35,7 +35,8 @@
 //                          rate, stall->crash-rate. One spec string drives
 //                          the A11 sim sweep and the A12 TCP sweep alike
 //     --adversary SPEC     adversary-plane roster (DESIGN.md §17), e.g.
-//                          "attrition:n=20,rate=4;sybil:n=16,region=4"
+//                          "attrition:n=20,rate=4;sybil:n=16,region=4";
+//                          the paper's flash crowd is "colluder:n=40,duty=0.5"
 //                          (default TRIBVOTE_ADVERSARY or off)
 //     --streaming SPEC     streaming-swarm workload: on|off|
 //                          "window=8,startup=4,kbps=512"
@@ -74,8 +75,7 @@ struct Options {
   double threshold_mb = 5.0;
   bool adaptive = false;
   bool newscast = false;
-  std::size_t crowd = 0;
-  std::size_t core = 0;
+  std::size_t core = 20;
   std::size_t shards = sim::options::shards();
   bt::LedgerBackend ledger = sim::options::ledger_backend();
   bool gossip_cache = sim::options::gossip_cache();
@@ -91,7 +91,7 @@ struct Options {
   std::fprintf(stderr,
                "usage: %s [--trace FILE] [--seed N] [--peers N] [--days N] "
                "[--threshold MB]\n"
-               "          [--adaptive] [--newscast] [--crowd N] [--core N] "
+               "          [--adaptive] [--newscast] [--core N] "
                "[--shards N] [--ledger map|sharded_log] "
                "[--gossip-cache on|off]\n"
                "          [--sample HOURS] [--csv FILE]\n"
@@ -127,8 +127,6 @@ Options parse(int argc, char** argv) {
       opt.adaptive = true;
     } else if (!std::strcmp(arg, "--newscast")) {
       opt.newscast = true;
-    } else if (!std::strcmp(arg, "--crowd")) {
-      opt.crowd = std::strtoull(need_value(i), nullptr, 10);
     } else if (!std::strcmp(arg, "--core")) {
       opt.core = std::strtoull(need_value(i), nullptr, 10);
     } else if (!std::strcmp(arg, "--shards")) {
@@ -230,7 +228,6 @@ Options parse(int argc, char** argv) {
   if (opt.peers < 5 || opt.days < 1 || opt.sample <= 0 || opt.shards < 1) {
     usage(argv[0]);
   }
-  if (opt.crowd > 0 && opt.core == 0) opt.core = 20;
   return opt;
 }
 
@@ -264,7 +261,6 @@ int main(int argc, char** argv) {
   config.adaptive_threshold = opt.adaptive;
   config.pss =
       opt.newscast ? core::PssKind::kNewscast : core::PssKind::kOracle;
-  config.attack.crowd_size = opt.crowd;
   config.shards = opt.shards;
   config.ledger = opt.ledger;
   config.vote.gossip_cache = opt.gossip_cache;
@@ -308,8 +304,12 @@ int main(int argc, char** argv) {
         voter, i % 2 == 0 ? m1 : m3,
         i % 2 == 0 ? Opinion::kPositive : Opinion::kNegative);
   }
+  // A vote-lying roster entry fields a spam moderator M0; against it, an
+  // experienced core pre-converged on M1 and the pollution column.
+  const ModeratorId m0 = runner.adversary_layout().spam_moderator();
+  const bool spam_attack = m0 != kInvalidModerator;
   std::vector<PeerId> core_set;
-  if (opt.crowd > 0) {
+  if (spam_attack) {
     core_set = trace::earliest_arrivals(tr, opt.core);
     for (const PeerId a : core_set) {
       if (a != m1) runner.cast_vote_now(a, m1, Opinion::kPositive);
@@ -319,9 +319,8 @@ int main(int argc, char** argv) {
         runner.preload_ballot(a, b, m1, Opinion::kPositive);
       }
     }
-    std::printf("attack: crowd=%zu colluders vs core=%zu (spam moderator "
-                "M0 = peer %u)\n",
-                opt.crowd, opt.core, runner.spam_moderator());
+    std::printf("attack: core=%zu vs spam moderator M0 = peer %u\n",
+                core_set.size(), m0);
   }
 
   // Metrics.
@@ -335,7 +334,7 @@ int main(int argc, char** argv) {
     for (PeerId p = 0; p < tr.peers.size(); ++p) {
       if (p == m1 || p == m2 || p == m3) continue;
       rankings.push_back(runner.ranking_of(p));
-      if (opt.crowd > 0 && runner.has_arrived(p, t) &&
+      if (spam_attack && runner.has_arrived(p, t) &&
           std::find(core_set.begin(), core_set.end(), p) ==
               core_set.end()) {
         fresh.push_back(rankings.back());
@@ -344,9 +343,7 @@ int main(int argc, char** argv) {
     const double correct = metrics::correct_ordering_fraction(
         rankings, std::span<const ModeratorId>(expected));
     const double pollution =
-        opt.crowd > 0
-            ? metrics::pollution_fraction(fresh, runner.spam_moderator())
-            : 0.0;
+        spam_attack ? metrics::pollution_fraction(fresh, m0) : 0.0;
     std::printf("%8.1f  %16.3f  %10.3f  %7zu\n", to_hours(t), correct,
                 pollution, runner.online_count());
     csv.field(to_hours(t)).field(correct).field(pollution);

@@ -26,16 +26,17 @@ int main() {
   params.duration = 3 * kDay;
   const trace::Trace tr = trace::generate_trace(params, 2024);
 
+  // The flash crowd: 40 colluders (2x the 20-node core) arriving at t = 0.
+  // They churn like everyone else, online half the time.
   core::ScenarioConfig config;
-  config.attack.crowd_size = 40;  // 2x the 20-node core
-  config.attack.start = 0;
-  config.attack.duty = 0.5;  // Sybils churn like everyone else
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder, .agents = 40, .duty = 0.5});
   core::ScenarioRunner runner(tr, config, 99);
 
   // Pre-converged core: earliest arrivals with mutual history and +M1.
   const auto core = trace::earliest_arrivals(tr, 20);
   const ModeratorId m1 = core.front();
-  const ModeratorId m0 = runner.spam_moderator();
+  const ModeratorId m0 = runner.adversary_layout().spam_moderator();
   runner.publish_moderation(m1, kMinute, "genuine popular content");
   for (const PeerId a : core) {
     if (a != m1) runner.cast_vote_now(a, m1, Opinion::kPositive);

@@ -47,6 +47,7 @@
 #include "sim/shard_kernel.hpp"
 #include "util/rng.hpp"
 #include "vote/agent.hpp"
+#include "vote/encounter.hpp"
 
 namespace {
 
@@ -188,8 +189,8 @@ int run_oracle(const Options& opt) {
       [&](const std::vector<sim::Encounter>& encounters, Time now) {
         kernel.run_round(encounters,
                          [&](const sim::Encounter& e, std::size_t) {
-                           vote::vote_exchange(*nodes[e.initiator].vote,
-                                               *nodes[e.responder].vote, now);
+                           vote::vote_encounter(*nodes[e.initiator].vote,
+                                                *nodes[e.responder].vote, now);
                          });
         return true;
       });

@@ -41,6 +41,7 @@
 #include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 #include "vote/agent.hpp"
+#include "vote/encounter.hpp"
 
 namespace {
 
@@ -182,7 +183,7 @@ int run_oracle(const Options& opt) {
   for (int r = 0; r < opt.rounds; ++r) {
     apply_casts(*self.vote, opt.seed, r, opt.casts);
     apply_casts(*peer.vote, opt.peer_seed, r, opt.casts);
-    vote::vote_exchange(*self.vote, *peer.vote, round_time(r));
+    vote::vote_encounter(*self.vote, *peer.vote, round_time(r));
   }
   if (opt.mods > 0) {
     const Time t = round_time(opt.rounds);

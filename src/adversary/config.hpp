@@ -1,10 +1,11 @@
 // Adversary-plane configuration (DESIGN.md "Adversary plane").
 //
 // A scenario's adversary is a *roster* of strategies; each strategy fields
-// a block of agent identities appended after the trace population (and the
-// legacy Fig. 8 attack crowd, if any) and is driven by the AdversaryEngine
-// at round hooks. The roster is the unit of the TRIBVOTE_ADVERSARY /
-// --adversary knob: "attrition:n=20,rate=4;sybil:n=16,region=4".
+// a block of agent identities appended after the trace population and is
+// driven by the AdversaryEngine at round hooks. The paper's Fig. 8 flash
+// crowd is a `colluder` entry. The roster is the unit of the
+// TRIBVOTE_ADVERSARY / --adversary knob:
+// "attrition:n=20,rate=4;sybil:n=16,region=4".
 //
 // An empty roster disables the plane entirely: the runner never constructs
 // an engine, no extra identities exist, and no code path draws an extra

@@ -103,8 +103,8 @@ void AdversaryEngine::activate(std::size_t s, Time now) {
   const ModeratorId m0 = layout_.spam_moderator();
   if (lies_votes(spec.kind)) {
     // The strategy owning M0 publishes the spam moderation; every lying
-    // agent "approves" it so local_dbs forward the metadata (the legacy
-    // Fig. 8 launch sequence, per strategy).
+    // agent "approves" it so local_dbs forward the metadata (the Fig. 8
+    // launch sequence, per strategy).
     if (ids.front() == m0) {
       host_.publish_moderation(m0, "FREE MOVIE (adversary spam)", now);
     }

@@ -122,7 +122,7 @@ class AdversaryEngine {
     /// Flip a peer's presence (runner routes through its online directory
     /// and PSS lifecycle hooks).
     std::function<void(PeerId, bool)> set_online;
-    /// Online honest (non-adversary, non-legacy-crowd) ids, ascending.
+    /// Online honest (non-adversary) ids, ascending.
     std::function<std::vector<PeerId>()> online_honest;
     /// Ground-truth transfer ledger (genuine credit lands here in bytes).
     bt::LedgerSink* ledger = nullptr;

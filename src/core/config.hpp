@@ -35,27 +35,6 @@ enum class PssKind : std::uint8_t {
   kNewscast,  ///< gossip view-exchange PSS
 };
 
-/// Flash-crowd attack (Fig. 8). `crowd_size` colluder identities appear at
-/// `start`, stay online, promote the spam moderator M0 (the first colluder
-/// id) and answer every VoxPopuli request with a fabricated list.
-struct AttackConfig {
-  std::size_t crowd_size = 0;  ///< 0 = no attack
-  Time start = 0;
-  /// Fraction of time each colluder identity is online after `start`.
-  /// 1.0 = always on; the Fig. 8 reproduction uses trace-like churn (0.5)
-  /// so the crowd/core ratio matches the paper's online dynamics.
-  double duty = 0.5;
-  /// Mean colluder session length when duty < 1.
-  Duration session_mean = kHour;
-  /// Honest moderator the crowd demotes with negative votes
-  /// (kInvalidModerator = none).
-  ModeratorId victim = kInvalidModerator;
-  /// Colluders also run the front-peer BarterCast attack, claiming
-  /// `fake_mb` transfers inside the clique.
-  bool fake_experience = false;
-  double fake_mb = 1000.0;
-};
-
 struct ScenarioConfig {
   vote::VoteConfig vote;                    // B_min=5, B_max=100, V_max=10, K=3
   moderation::ModerationCastConfig moderation;
@@ -81,8 +60,8 @@ struct ScenarioConfig {
 
   /// Deterministic network fault plane (sim/fault_plane.hpp). Defaults to
   /// no faults — the perfect-transport setting every golden CSV was
-  /// recorded under; with faults disabled the plane is inert and runs are
-  /// byte-identical to pre-fault-plane builds.
+  /// recorded under; with faults disabled every verdict is all-clear and
+  /// runs are byte-identical to pre-fault-plane builds.
   sim::FaultConfig faults;
 
   /// Telemetry plane (src/telemetry/, DESIGN.md §11). Off by default — the
@@ -95,13 +74,12 @@ struct ScenarioConfig {
   ProtocolPeriods periods;
   PssKind pss = PssKind::kOracle;
   pss::NewscastConfig newscast;
-  AttackConfig attack;
 
-  /// Adversary plane (src/adversary/, DESIGN.md "Adversary plane"). An
-  /// empty roster (the default) is fully inert: no engine, no extra
-  /// identities, runs byte-identical to pre-adversary builds. The legacy
-  /// AttackConfig above keeps driving the Fig. 8 reproduction verbatim;
-  /// the roster composes with it (adversary ids follow the crowd's).
+  /// Adversary plane (src/adversary/, DESIGN.md "Adversary plane") — the
+  /// one attack configuration: the Fig. 8 flash crowd is a `colluder`
+  /// roster entry. An empty roster (the default) is fully inert: no
+  /// engine, no extra identities, runs byte-identical to pre-adversary
+  /// builds. Adversary ids follow the trace peers'.
   adversary::AdversaryConfig adversary;
 
   /// Streaming-swarm workload (bt/streaming.hpp). Off by default — the

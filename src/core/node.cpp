@@ -2,30 +2,6 @@
 
 namespace tribvote::core {
 
-namespace {
-/// The legacy (role, AttackConfig)-driven selection: colluders lie about
-/// votes and optionally fake experience over the whole crowd.
-AgentSelection legacy_selection(NodeRole role, const ScenarioConfig& config,
-                                const attack::ColluderPlan& plan,
-                                const std::vector<PeerId>& clique) {
-  AgentSelection sel;
-  if (role == NodeRole::kColluder) {
-    sel.spam_votes = true;
-    sel.fake_experience = config.attack.fake_experience;
-    sel.fake_mb = config.attack.fake_mb;
-    sel.plan = plan;
-    sel.clique = clique;
-  }
-  return sel;
-}
-}  // namespace
-
-Node::Node(PeerId id, NodeRole role, const ScenarioConfig& config,
-           util::Rng rng, const attack::ColluderPlan& plan,
-           const std::vector<PeerId>& clique)
-    : Node(id, role, config, rng, legacy_selection(role, config, plan,
-                                                   clique)) {}
-
 Node::Node(PeerId id, NodeRole role, const ScenarioConfig& config,
            util::Rng rng, const AgentSelection& selection)
     : id_(id),

@@ -39,18 +39,11 @@ struct AgentSelection {
 
 class Node {
  public:
-  /// `plan` is consulted only for colluders. `clique` (colluder ids,
-  /// including self) only when the attack fakes experience.
+  /// Agents are selected per node (the adversary plane derives the
+  /// selection from the strategy profile); the default selection is a
+  /// fully honest node.
   Node(PeerId id, NodeRole role, const ScenarioConfig& config, util::Rng rng,
-       const attack::ColluderPlan& plan = {},
-       const std::vector<PeerId>& clique = {});
-
-  /// Adversary-plane construction: agents are selected per node from the
-  /// strategy profile rather than from the scenario-wide AttackConfig.
-  /// The honest selection takes exactly the honest path of the legacy
-  /// constructor (same derive keys, same agent types).
-  Node(PeerId id, NodeRole role, const ScenarioConfig& config, util::Rng rng,
-       const AgentSelection& selection);
+       const AgentSelection& selection = {});
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -6,7 +6,6 @@
 #include "metrics/cev.hpp"
 #include "metrics/degradation.hpp"
 #include "moderation/moderation.hpp"
-#include "vote/encounter.hpp"
 
 namespace tribvote::core {
 
@@ -16,11 +15,10 @@ namespace {
 constexpr double kColluderUploadKbps = 1.0;
 constexpr double kColluderDownloadKbps = 1024.0;
 
-/// Fold a receive verdict into the run counters exactly as the fault-free
-/// inline code did: kAccepted is the old `accepted`, and kInexperienced is
-/// the only other verdict a non-empty message produces in a fault-free run
-/// (pairing never bounces a message back to its signer, and every agent —
-/// colluders included — signs with its own key).
+/// Fold a receive verdict into the run counters: kAccepted counts as
+/// accepted, and kInexperienced is the only other verdict a non-empty
+/// undamaged message produces (pairing never bounces a message back to its
+/// signer, and every agent — colluders included — signs with its own key).
 void note_vote_receive(RunStats& st, vote::ReceiveResult r) {
   if (r == vote::ReceiveResult::kAccepted) {
     ++st.votes_accepted;
@@ -105,13 +103,10 @@ ScenarioRunner::ScenarioRunner(trace::Trace trace, ScenarioConfig config,
       rng_(seed),
       ledger_(bt::make_ledger(
           config.ledger,
-          trace_.peers.size() + config.attack.crowd_size +
-              config.adversary.total_agents(),
+          trace_.peers.size() + config.adversary.total_agents(),
           std::max<std::size_t>(1, config.shards))),
-      online_(trace_.peers.size() + config.attack.crowd_size +
-              config.adversary.total_agents()),
-      scripted_votes_(trace_.peers.size() + config.attack.crowd_size +
-                      config.adversary.total_agents()) {
+      online_(trace_.peers.size() + config.adversary.total_agents()),
+      scripted_votes_(trace_.peers.size() + config.adversary.total_agents()) {
   build_population(seed);
   const std::size_t shards = std::max<std::size_t>(1, config_.shards);
   if (shards > 1) shard_pool_ = std::make_unique<util::ThreadPool>(shards);
@@ -260,12 +255,11 @@ void ScenarioRunner::telemetry_round_sample() {
 
 void ScenarioRunner::build_population(std::uint64_t seed) {
   const std::size_t n_trace = trace_.peers.size();
-  const std::size_t n_crowd = n_trace + config_.attack.crowd_size;
-  const std::size_t n_total = n_crowd + config_.adversary.total_agents();
+  const std::size_t n_total = n_trace + config_.adversary.total_agents();
 
-  // Adversary agents occupy the dense id block after the legacy crowd.
+  // Adversary agents occupy the dense id block after the trace peers.
   adv_layout_ =
-      adversary::Layout(config_.adversary, static_cast<PeerId>(n_crowd));
+      adversary::Layout(config_.adversary, static_cast<PeerId>(n_trace));
 
   // Physical capacities for the bandwidth allocator.
   std::vector<double> up(n_total, kColluderUploadKbps);
@@ -276,19 +270,6 @@ void ScenarioRunner::build_population(std::uint64_t seed) {
   }
   bandwidth_ = std::make_unique<bt::BandwidthAllocator>(std::move(up),
                                                         std::move(down));
-
-  // Colluder ids and plan.
-  for (std::size_t c = 0; c < config_.attack.crowd_size; ++c) {
-    colluders_.push_back(static_cast<PeerId>(n_trace + c));
-  }
-  attack::ColluderPlan plan;
-  if (!colluders_.empty()) {
-    plan.spam_moderator = colluders_.front();
-    plan.victim_moderator = config_.attack.victim;
-    if (config_.attack.victim != kInvalidModerator) {
-      plan.decoys.push_back(config_.attack.victim);
-    }
-  }
 
   util::Rng node_rng = rng_.derive(0x6e6f6465);  // "node"
   nodes_.reserve(n_total);
@@ -316,11 +297,8 @@ void ScenarioRunner::build_population(std::uint64_t seed) {
                                               config_, node_rng.derive(id),
                                               sel));
     } else {
-      const NodeRole role =
-          id < n_trace ? NodeRole::kHonest : NodeRole::kColluder;
-      nodes_.push_back(std::make_unique<Node>(id, role, config_,
-                                              node_rng.derive(id), plan,
-                                              colluders_));
+      nodes_.push_back(std::make_unique<Node>(id, NodeRole::kHonest, config_,
+                                              node_rng.derive(id)));
     }
     // Wire scripted vote-on-receipt behaviour for every node up front; the
     // scripts themselves are registered later via script_vote_on_receipt.
@@ -494,19 +472,13 @@ void ScenarioRunner::schedule_everything() {
   add_loop(pp.barter_exchange, pp.barter_exchange / 3 + 1,
            [this] { barter_round(); });
   if (config_.pss == PssKind::kNewscast) {
-    if (config_.faults.enabled() && config_.faults.loss > 0.0) {
-      add_loop(pp.newscast_gossip, 1, [this] {
-        telemetry::Span span(telemetry_.get(), "pss.gossip");
-        sampler_->gossip_round(
-            sim_.now(), config_.faults.loss,
-            &fault_plane_->serial_stats().newscast.dropped_requests);
-      });
-    } else {
-      add_loop(pp.newscast_gossip, 1, [this] {
-        telemetry::Span span(telemetry_.get(), "pss.gossip");
-        sampler_->gossip_round(sim_.now());
-      });
-    }
+    // A zero loss draws nothing, so the fault-free PSS stream is untouched.
+    add_loop(pp.newscast_gossip, 1, [this] {
+      telemetry::Span span(telemetry_.get(), "pss.gossip");
+      sampler_->gossip_round(
+          sim_.now(), config_.faults.loss,
+          &fault_plane_->serial_stats().newscast.dropped_requests);
+    });
   }
   if (config_.adaptive_threshold) {
     add_loop(pp.adaptive_update, pp.adaptive_update, [this] {
@@ -520,22 +492,20 @@ void ScenarioRunner::schedule_everything() {
     });
   }
 
-  // Attack injection.
-  if (!colluders_.empty()) {
-    sim_.schedule_at(config_.attack.start, [this] { launch_attack(); });
-  }
-
   // Metric samplers: fire at t = 0, period, 2·period, ...
-  for (auto& sampler : samplers_) {
-    auto fire = std::make_shared<std::function<void(Time)>>();
-    const Duration period = sampler.period;
-    auto fn = sampler.fn;
-    *fire = [this, fire, period, fn](Time t) {
-      fn(t);
-      sim_.schedule_at(t + period, [fire, t, period] { (*fire)(t + period); });
-    };
-    sim_.schedule_at(0, [fire] { (*fire)(0); });
+  for (std::size_t i = 0; i < samplers_.size(); ++i) {
+    sim_.schedule_at(0, [this, i] { fire_sampler(i, 0); });
   }
+}
+
+void ScenarioRunner::fire_sampler(std::size_t index, Time t) {
+  // The callback stays owned by samplers_: a pending event carries only
+  // (index, t), so nothing it holds can keep the callback alive. The next
+  // firing is scheduled after the callback returns, which fixes the event
+  // insertion order the goldens were recorded under.
+  const Time next = t + samplers_[index].period;
+  samplers_[index].fn(t);
+  sim_.schedule_at(next, [this, index, next] { fire_sampler(index, next); });
 }
 
 void ScenarioRunner::run_until(Time t) {
@@ -545,11 +515,9 @@ void ScenarioRunner::run_until(Time t) {
 
 bool ScenarioRunner::has_arrived(PeerId id, Time t) const {
   if (id < trace_.peers.size()) return trace_.peers[id].arrival <= t;
-  if (adv_layout_.is_adversary(id)) {
-    return config_.adversary.roster[adv_layout_.profile(id).strategy].start <=
-           t;
-  }
-  return !colluders_.empty() && config_.attack.start <= t;
+  return adv_layout_.is_adversary(id) &&
+         config_.adversary.roster[adv_layout_.profile(id).strategy].start <=
+             t;
 }
 
 bt::StreamingTotals ScenarioRunner::streaming_totals() const {
@@ -684,8 +652,8 @@ void ScenarioRunner::vote_round() {
   // One BallotBox (+ conditional VoxPopuli) exchange per pair (Fig. 3
   // active thread), fanned out across the shard kernel. The exchange body
   // touches only the two endpoint nodes, its lane's counter block and the
-  // fault plane's lane-local buffers. With faults off the legacy body runs
-  // verbatim and the plane is never consulted.
+  // fault plane's lane-local buffers. With faults off every verdict is
+  // all-clear and the body runs vote::vote_encounter's call sequence.
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "vote.round");
   // Adversary hook before pairing: presence flips apply before the round
@@ -693,44 +661,6 @@ void ScenarioRunner::vote_round() {
   // serial, so the round stays shard-invariant.
   if (adversary_) adversary_->on_vote_round(now);
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          RunStats& st = lane_stats_[lane];
-          Node& ni = *nodes_[e.initiator];
-          Node& nj = *nodes_[e.responder];
-
-          // The shared transport-agnostic encounter core (the same function
-          // the socket plane's ExchangeEngine mirrors frame-by-frame); the
-          // runner keeps the probe accounting. Counter adds are commutative
-          // sums into lane blocks, so folding them after both legs is
-          // bit-identical to the legacy interleaved order.
-          const vote::VoteEncounterOutcome enc =
-              vote::vote_encounter(ni.vote(), nj.vote(), now);
-          probes_.vote_list_size.observe(
-              static_cast<double>(enc.forward.list_size));
-          note_vote_receive(st, enc.forward.result);
-          note_gossip_leg(enc.forward);
-          probes_.vote_list_size.observe(
-              static_cast<double>(enc.reverse.list_size));
-          note_vote_receive(st, enc.reverse.result);
-          note_gossip_leg(enc.reverse);
-          if (enc.vox_requested) {
-            if (enc.vox_topk == 0) {
-              ++st.vp_requests_null;
-            } else {
-              ++st.vp_requests_answered;
-              probes_.vox_topk_size.observe(
-                  static_cast<double>(enc.vox_topk));
-            }
-          }
-          ++st.vote_exchanges;
-        });
-    merge_lane_stats();
-    telemetry_round_sample();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kVote, encounters);
   kernel_->run_round(
@@ -750,17 +680,9 @@ void ScenarioRunner::vote_round() {
           // it. A bootstrapping initiator's VP request rode the same dial
           // and timed out with it; the retry chain takes over after the
           // round.
-          const vote::GossipStats gs0 = ni.vote().gossip_stats();
-          const vote::VoteListMessage from_i = ni.vote().outgoing_votes(now);
-          probes_.vote_list_size.observe(
-              static_cast<double>(from_i.votes.size()));
+          const vote::VoteListMessage from_i = outgoing_votes(ni, now);
           probes_.gossip_bytes.add(
               first_frame_bytes(ni.vote(), from_i, e.responder));
-          const vote::GossipStats& gs1 = ni.vote().gossip_stats();
-          if (gs1.cache_hits > gs0.cache_hits) probes_.gossip_cache_hits.add();
-          if (gs1.signatures > gs0.signatures) {
-            probes_.gossip_signatures.add(gs1.signatures - gs0.signatures);
-          }
           if (ni.vote().bootstrapping()) {
             ++fs.vox.timeouts;
             fault_plane_->record_vp_failure(lane, e.seq, e.initiator);
@@ -783,17 +705,7 @@ void ScenarioRunner::vote_round() {
             // A delayed reply is serialized and delivered later, so it
             // always travels as a full (cache-served) message — the delta
             // handshake needs both endpoints live in the same round.
-            const vote::GossipStats gs0 = nj.vote().gossip_stats();
-            vote::VoteListMessage from_j = nj.vote().outgoing_votes(now);
-            probes_.vote_list_size.observe(
-                static_cast<double>(from_j.votes.size()));
-            const vote::GossipStats& gs1 = nj.vote().gossip_stats();
-            if (gs1.cache_hits > gs0.cache_hits) {
-              probes_.gossip_cache_hits.add();
-            }
-            if (gs1.signatures > gs0.signatures) {
-              probes_.gossip_signatures.add(gs1.signatures - gs0.signatures);
-            }
+            vote::VoteListMessage from_j = outgoing_votes(nj, now);
             vote::damage_message(from_j, to_wire(f.reply_payload),
                                  f.payload_salt + 1);
             probes_.gossip_bytes.add(vote::wire_size(from_j));
@@ -868,21 +780,6 @@ void ScenarioRunner::moderation_round() {
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "moderation.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          const moderation::ExchangeStats xs = moderation::exchange(
-              nodes_[e.initiator]->mod(), nodes_[e.responder]->mod(), now);
-          probes_.mod_batch_size.observe(
-              static_cast<double>(xs.sent_initiator));
-          probes_.mod_batch_size.observe(
-              static_cast<double>(xs.sent_responder));
-          ++lane_stats_[lane].moderation_exchanges;
-        });
-    merge_lane_stats();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kModeration, encounters);
   kernel_->run_round(
@@ -945,31 +842,6 @@ void ScenarioRunner::barter_round() {
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "barter.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  if (!fault_plane_->enabled()) {
-    kernel_->run_round(
-        encounters, [this, now](const sim::Encounter& e, std::size_t lane) {
-          bartercast::BarterAgent& bi = nodes_[e.initiator]->barter();
-          bartercast::BarterAgent& bj = nodes_[e.responder]->barter();
-          bi.sync_direct(*ledger_, now);
-          bj.sync_direct(*ledger_, now);
-          // Same evaluation order as the historical one-liners: bj's
-          // outgoing batch is built only after it received bi's.
-          const std::vector<bartercast::BarterRecord> recs_i =
-              bi.outgoing_records(*ledger_, now);
-          probes_.barter_batch_size.observe(
-              static_cast<double>(recs_i.size()));
-          bj.receive(e.initiator, recs_i);
-          const std::vector<bartercast::BarterRecord> recs_j =
-              bj.outgoing_records(*ledger_, now);
-          probes_.barter_batch_size.observe(
-              static_cast<double>(recs_j.size()));
-          bi.receive(e.responder, recs_j);
-          ++lane_stats_[lane].barter_exchanges;
-        });
-    merge_lane_stats();
-    return;
-  }
-
   const std::vector<sim::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kBarter, encounters);
   kernel_->run_round(
@@ -1022,6 +894,18 @@ void ScenarioRunner::barter_round() {
   flush_round_faults();
 }
 
+vote::VoteListMessage ScenarioRunner::outgoing_votes(Node& node, Time now) {
+  const vote::GossipStats before = node.vote().gossip_stats();
+  vote::VoteListMessage msg = node.vote().outgoing_votes(now);
+  probes_.vote_list_size.observe(static_cast<double>(msg.votes.size()));
+  const vote::GossipStats& after = node.vote().gossip_stats();
+  if (after.cache_hits > before.cache_hits) probes_.gossip_cache_hits.add();
+  if (after.signatures > before.signatures) {
+    probes_.gossip_signatures.add(after.signatures - before.signatures);
+  }
+  return msg;
+}
+
 void ScenarioRunner::flush_round_faults() {
   telemetry::Span span(telemetry_.get(), "fault.flush");
   sim::RoundOutcome out = fault_plane_->finish_round();
@@ -1072,56 +956,6 @@ void ScenarioRunner::schedule_vp_retry(PeerId initiator, std::size_t attempt,
     ++stats_.vp_requests_answered;
     ++fs.vox.retry_successes;
     ni.vote().receive_topk(std::move(topk));
-  });
-}
-
-void ScenarioRunner::launch_attack() {
-  for (const PeerId c : colluders_) {
-    // Start each identity at its churn equilibrium: online with
-    // probability `duty` (a churning crowd does not materialize all at
-    // once any more than the honest population does).
-    const bool start_online =
-        config_.attack.duty >= 1.0 || rng_.next_bool(config_.attack.duty);
-    if (start_online) {
-      online_.set_online(c, true);
-      sampler_->on_peer_online(c, sim_.now());
-    }
-    if (config_.attack.duty < 1.0) {
-      schedule_colluder_churn(c, start_online);
-    }
-  }
-  // The spam moderator publishes its spam moderation; every colluder
-  // "approves" it so their local_dbs forward the metadata.
-  const ModeratorId m0 = spam_moderator();
-  Node& spammer = *nodes_.at(m0);
-  util::Rng ih = rng_.derive(0x7370616d);
-  spammer.mod().publish(ih(), "FREE MOVIE (spam)", sim_.now());
-  note_moderation_published(m0);
-  for (const PeerId c : colluders_) {
-    nodes_.at(c)->user_vote(m0, Opinion::kPositive, sim_.now());
-    note_vote_cast(Opinion::kPositive);
-  }
-}
-
-void ScenarioRunner::schedule_colluder_churn(PeerId colluder,
-                                             bool currently_online) {
-  // Alternating on/off renewal process with the configured duty cycle,
-  // mirroring the churn the trace imposes on honest identities.
-  const double duty = std::clamp(config_.attack.duty, 0.01, 0.99);
-  const auto mean_on = static_cast<double>(config_.attack.session_mean);
-  const double mean_off = mean_on * (1.0 - duty) / duty;
-  const double mean = currently_online ? mean_on : mean_off;
-  const auto delay = std::max<Duration>(
-      kMinute, static_cast<Duration>(rng_.next_exponential(mean)));
-  sim_.schedule_in(delay, [this, colluder, currently_online] {
-    if (currently_online) {
-      online_.set_online(colluder, false);
-      sampler_->on_peer_offline(colluder);
-    } else {
-      online_.set_online(colluder, true);
-      sampler_->on_peer_online(colluder, sim_.now());
-    }
-    schedule_colluder_churn(colluder, !currently_online);
   });
 }
 

@@ -1,13 +1,14 @@
 // ScenarioRunner: replays one trace through the full protocol stack.
 //
 // Owns the discrete-event simulator, the population (trace peers plus any
-// attack crowd), the BitTorrent swarms, the PSS and every per-node protocol
-// agent, and drives:
+// adversary-plane agents), the BitTorrent swarms, the PSS and every
+// per-node protocol agent, and drives:
 //
 //   * trace events — session starts/ends, swarm creation, swarm joins;
 //   * protocol loops — BT unchoke rounds, BallotBox/VoxPopuli exchanges,
-//     ModerationCast exchanges, BarterCast exchanges, PSS gossip;
-//   * attack injection — colluder arrival at the configured time;
+//     ModerationCast exchanges, BarterCast exchanges, PSS gossip — each
+//     through one round body that reads the fault plane's verdict table;
+//   * the adversary plane's round hooks (attack arrival, churn, floods);
 //   * scenario scripting — moderation publishing, vote-on-receipt
 //     behaviours, pre-converged-core setup;
 //   * metric sampling on a fixed grid.
@@ -60,23 +61,15 @@ class ScenarioRunner {
 
   // ---- population layout ---------------------------------------------------
 
-  /// Trace peers occupy ids [0, trace_peer_count()); legacy attack
-  /// colluders, if any, occupy the next crowd_size ids; adversary-plane
+  /// Trace peers occupy ids [0, trace_peer_count()); adversary-plane
   /// agents (roster order, agent order) fill the tail up to
-  /// population_size().
+  /// population_size(). The spam moderator M0, if any, is
+  /// adversary_layout().spam_moderator().
   [[nodiscard]] std::size_t trace_peer_count() const noexcept {
     return trace_.peers.size();
   }
   [[nodiscard]] std::size_t population_size() const noexcept {
     return nodes_.size();
-  }
-  [[nodiscard]] const std::vector<PeerId>& colluders() const noexcept {
-    return colluders_;
-  }
-  /// The spam moderator M0 (first colluder); kInvalidModerator without an
-  /// attack.
-  [[nodiscard]] ModeratorId spam_moderator() const noexcept {
-    return colluders_.empty() ? kInvalidModerator : colluders_.front();
   }
 
   [[nodiscard]] Node& node(PeerId id) { return *nodes_.at(id); }
@@ -178,7 +171,7 @@ class ScenarioRunner {
   [[nodiscard]] std::size_t online_count() const noexcept {
     return online_.online_count();
   }
-  /// Has this identity appeared yet (trace arrival / attack start)?
+  /// Has this identity appeared yet (trace arrival / roster entry start)?
   [[nodiscard]] bool has_arrived(PeerId id, Time t) const;
   /// Read-only view of the contribution ledger (backend per
   /// ScenarioConfig::ledger).
@@ -224,8 +217,8 @@ class ScenarioRunner {
   /// node leaves its bootstrap phase.
   void schedule_vp_retry(PeerId initiator, std::size_t attempt,
                          util::Rng rng);
-  void launch_attack();
-  void schedule_colluder_churn(PeerId colluder, bool currently_online);
+  /// Fire metric sampler `index` at `t` and schedule its next firing.
+  void fire_sampler(std::size_t index, Time t);
   /// Population-access callbacks handed to the adversary engine; every one
   /// is invoked serially from the engine's round hooks.
   [[nodiscard]] adversary::AdversaryEngine::Host make_adversary_host();
@@ -266,6 +259,10 @@ class ScenarioRunner {
     if (leg.cache_hit) probes_.gossip_cache_hits.add();
     if (leg.signatures > 0) probes_.gossip_signatures.add(leg.signatures);
   }
+  /// Build `node`'s vote list for a leg that bypasses gossip_send (a lost
+  /// request or a delayed reply) and account the build like a leg: list
+  /// size, cache hit, signing operations.
+  [[nodiscard]] vote::VoteListMessage outgoing_votes(Node& node, Time now);
   /// Count a moderation being published. The publisher holds its own item,
   /// so it counts as "reached" too (publish() fires no on_new_moderation —
   /// that callback is receive-side only).
@@ -288,10 +285,10 @@ class ScenarioRunner {
   std::unique_ptr<util::ThreadPool> shard_pool_;
   std::unique_ptr<sim::ShardKernel> kernel_;
   std::vector<RunStats> lane_stats_;
-  // Network fault plane (tentpole of the robustness PR). Constructed
-  // unconditionally from a derived RNG stream — deriving is a pure function
-  // of the parent seed, so a disabled plane leaves the fault-free RNG
-  // sequence untouched and output byte-identical to pre-fault builds.
+  // Network fault plane. Constructed unconditionally from a derived RNG
+  // stream (deriving is a pure function of the parent seed); when disabled
+  // it hands out all-clear verdicts that draw nothing, so the fault-free
+  // RNG sequence and output stay byte-identical.
   std::unique_ptr<sim::FaultPlane> fault_plane_;
   std::unique_ptr<bt::Ledger> ledger_;
   std::unique_ptr<bt::BandwidthAllocator> bandwidth_;
@@ -301,7 +298,6 @@ class ScenarioRunner {
   /// is implementation-agnostic.
   std::unique_ptr<pss::PeerSampler> sampler_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<PeerId> colluders_;
   // Adversary plane (inert unless the roster is non-empty: no engine is
   // constructed, the layout is empty, and no code path draws an extra
   // random number). Engine traffic deliberately bypasses the fault plane —

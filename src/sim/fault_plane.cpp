@@ -217,10 +217,12 @@ util::Rng FaultPlane::encounter_stream(Protocol proto, std::uint64_t round,
 
 const std::vector<EncounterFaults>& FaultPlane::draw_round(
     Protocol proto, const std::vector<Encounter>& encounters) {
-  assert(enabled());
+  table_.assign(encounters.size(), EncounterFaults{});
+  // A disabled plane hands out this all-clear table: no stream derived, no
+  // counter moved, so it stays byte-inert behind the one faulted round body.
+  if (!enabled()) return table_;
   current_proto_ = proto;
   current_round_ = round_counter_[static_cast<std::size_t>(proto)]++;
-  table_.assign(encounters.size(), EncounterFaults{});
   crashed_round_.clear();
   crashed_set_.clear();
   FaultCounters& c = stats_.of(proto);

@@ -24,8 +24,10 @@
 // with exponential backoff.
 //
 // With every probability at zero the plane is inert: enabled() is false,
-// draw_round is never consulted, and no code path draws an extra random
-// number — runs are byte-identical to a build without the plane.
+// draw_round hands out an all-clear table (every verdict default, no RNG
+// drawn, no counter moved) and finish_round returns an empty outcome, so
+// the runner's single faulted round body executes exactly the fault-free
+// encounter — runs are byte-identical to a build without the plane.
 #pragma once
 
 #include <cstdint>
@@ -224,7 +226,8 @@ class FaultPlane {
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
   /// Serial (pairing phase): draw the fault table for this round, indexed
-  /// by encounter seq. Advances the protocol's round counter. The returned
+  /// by encounter seq. Advances the protocol's round counter. A disabled
+  /// plane returns an all-clear table and advances nothing. The returned
   /// reference is valid until the next draw_round call; the table is
   /// read-only while lanes execute.
   const std::vector<EncounterFaults>& draw_round(

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "util/hash.hpp"
-#include "vote/encounter.hpp"
 
 namespace tribvote::vote {
 
@@ -293,10 +292,6 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
   leg.signatures =
       static_cast<std::uint32_t>(after.signatures - before.signatures);
   return leg;
-}
-
-void vote_exchange(VoteAgent& initiator, VoteAgent& responder, Time now) {
-  (void)vote_encounter(initiator, responder, now);
 }
 
 }  // namespace tribvote::vote

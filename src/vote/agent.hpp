@@ -275,9 +275,4 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
                              WireFault fault = WireFault::kNone,
                              std::uint64_t salt = 0);
 
-/// One full active-thread encounter of `initiator` with PSS-sampled
-/// `responder` (Fig. 3): mutual vote-list exchange, then — only if the
-/// initiator is bootstrapping — a VP request/response.
-void vote_exchange(VoteAgent& initiator, VoteAgent& responder, Time now);
-
 }  // namespace tribvote::vote

@@ -248,14 +248,19 @@ TEST(AdversaryRunner, EmptyRosterConstructsNoEngineOrAgents) {
   EXPECT_EQ(runner.adversary_stats().activations, 0u);
 }
 
-TEST(AdversaryRunner, AgentsFollowTheLegacyCrowd) {
+TEST(AdversaryRunner, RosterIdsStartAtTracePeerCount) {
   const trace::Trace tr = small_trace();
   ScenarioConfig config;
-  config.attack.crowd_size = 4;
-  ASSERT_TRUE(parse_adversary_spec("attrition:n=3", config.adversary));
+  ASSERT_TRUE(parse_adversary_spec("colluder:n=4;attrition:n=3",
+                                   config.adversary));
   ScenarioRunner runner(tr, config, 42);
+  const PeerId first = static_cast<PeerId>(runner.trace_peer_count());
+  EXPECT_EQ(runner.trace_peer_count(), tr.peers.size());
   EXPECT_EQ(runner.population_size(), tr.peers.size() + 4 + 3);
-  EXPECT_EQ(runner.adversary_layout().first_id(), tr.peers.size() + 4);
+  EXPECT_EQ(runner.adversary_layout().first_id(), first);
+  // The colluder entry comes first, so it owns M0; attrition follows it.
+  EXPECT_EQ(runner.adversary_layout().spam_moderator(), first);
+  EXPECT_EQ(runner.adversary_layout().agents_of(1).front(), first + 4);
   ASSERT_NE(runner.adversary(), nullptr);
 }
 

@@ -157,22 +157,26 @@ TEST(Runner, ScriptedModerationAndVotes) {
 TEST(Runner, AttackInjectsColluders) {
   const trace::Trace tr = small_trace();
   ScenarioConfig config;
-  config.attack.crowd_size = 5;
-  config.attack.start = kHour;
-  config.attack.duty = 1.0;  // keep colluders online for the assertions
+  // Duty 1 (the default) keeps colluders online for the assertions.
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder, .agents = 5,
+       .start = kHour});
   ScenarioRunner runner(tr, config, 7);
   EXPECT_EQ(runner.population_size(), tr.peers.size() + 5);
-  EXPECT_EQ(runner.colluders().size(), 5u);
-  EXPECT_EQ(runner.spam_moderator(), tr.peers.size());
+  const std::vector<PeerId> colluders =
+      runner.adversary_layout().agents_of(0);
+  EXPECT_EQ(colluders.size(), 5u);
+  const ModeratorId m0 = runner.adversary_layout().spam_moderator();
+  EXPECT_EQ(m0, tr.peers.size());
   runner.run_until(30 * kMinute);
-  EXPECT_FALSE(runner.is_online(runner.spam_moderator()));
+  EXPECT_FALSE(runner.is_online(m0));
   runner.run_until(2 * kHour);
-  for (const PeerId c : runner.colluders()) {
+  for (const PeerId c : colluders) {
     EXPECT_TRUE(runner.is_online(c));
     EXPECT_EQ(runner.node(c).role(), NodeRole::kColluder);
   }
-  EXPECT_TRUE(runner.has_arrived(runner.spam_moderator(), 2 * kHour));
-  EXPECT_FALSE(runner.has_arrived(runner.spam_moderator(), kMinute));
+  EXPECT_TRUE(runner.has_arrived(m0, 2 * kHour));
+  EXPECT_FALSE(runner.has_arrived(m0, kMinute));
 }
 
 TEST(Runner, PreseedTransferCreatesExperience) {
@@ -291,8 +295,9 @@ TEST(Runner, ShardCountInvarianceUnderAttackAndAdaptive) {
   // PSS (global gossip state drawn during serial pairing only).
   const trace::Trace tr = small_trace(/*seed=*/11);
   ScenarioConfig config;
-  config.attack.crowd_size = 6;
-  config.attack.start = 2 * kHour;
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder, .agents = 6,
+       .start = 2 * kHour, .duty = 0.5});
   config.adaptive_threshold = true;
   config.pss = PssKind::kNewscast;
   const std::string serial = metrics_csv(tr, config, 1);

@@ -163,6 +163,40 @@ TEST(FaultPlane, DrawIsAPureFunctionOfSeedProtocolRoundSeq) {
   }
 }
 
+TEST(FaultPlane, DisabledPlaneHandsOutAnAllClearTable) {
+  // The runner runs one faulted round body whatever the config; a default
+  // (disabled) plane must make that body the fault-free encounter: every
+  // verdict clear, nothing counted, nothing left to apply after the round.
+  FaultPlane plane(FaultConfig{}, util::Rng(5), 4);
+  ASSERT_FALSE(plane.enabled());
+  for (const Protocol proto :
+       {Protocol::kVote, Protocol::kModeration, Protocol::kBarter}) {
+    for (const std::size_t n : {0u, 1u, 64u}) {
+      const auto& table = plane.draw_round(proto, ring_round(n));
+      ASSERT_EQ(table.size(), n);
+      for (const EncounterFaults& f : table) {
+        EXPECT_FALSE(f.any());
+        EXPECT_TRUE(same_verdict(f, EncounterFaults{}));
+      }
+      const RoundOutcome out = plane.finish_round();
+      EXPECT_TRUE(out.deferred.empty());
+      EXPECT_TRUE(out.crashed.empty());
+      EXPECT_TRUE(out.vp_failures.empty());
+    }
+  }
+  const FaultCounters total = plane.stats().total();
+  EXPECT_EQ(total.encounters_hit, 0u);
+  EXPECT_EQ(total.dropped_requests, 0u);
+  EXPECT_EQ(total.dropped_replies, 0u);
+  EXPECT_EQ(total.delayed, 0u);
+  EXPECT_EQ(total.crashes, 0u);
+  EXPECT_EQ(total.unreachable, 0u);
+  EXPECT_EQ(total.corrupted, 0u);
+  EXPECT_EQ(total.one_sided, 0u);
+  EXPECT_EQ(total.partitioned, 0u);
+  EXPECT_EQ(total.ge_bad_encounters, 0u);
+}
+
 TEST(FaultPlane, DrawIsIndependentOfLaneCount) {
   // The verdict table is drawn serially before lanes run, so the lane
   // count (= shard count) must never influence it — this is the fault

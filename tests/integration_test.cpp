@@ -103,12 +103,13 @@ TEST(Integration, VoteSamplingConvergesToCorrectOrdering) {
 TEST(Integration, FlashCrowdPollutesThenRecoveryHolds) {
   const trace::Trace tr = mini_trace(14, 40, 2 * kDay);
   ScenarioConfig config;
-  config.attack.crowd_size = 50;  // overwhelming vs ~20 online honest
-  config.attack.start = 0;
-  config.attack.duty = 1.0;       // maximal pressure for this test
+  // 50 always-online colluders: overwhelming vs ~20 online honest, the
+  // maximal pressure for this test.
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder, .agents = 50});
 
   ScenarioRunner runner(tr, config, 5);
-  const ModeratorId m0 = runner.spam_moderator();
+  const ModeratorId m0 = runner.adversary_layout().spam_moderator();
 
   // Pre-converged core: the 10 earliest arrivals all voted +M1 and hold
   // each other's votes (past B_min), plus mutual transfer history so they
@@ -212,8 +213,9 @@ TEST(Integration, ChaosTransportNeverCrashesNorPoisons) {
   config.faults.max_delay = 300;
   config.faults.crash_rate = 0.1;
   config.faults.corrupt_rate = 0.5;
-  config.attack.crowd_size = 10;
-  config.attack.start = kHour;
+  config.adversary.roster.push_back(
+      {.kind = adversary::StrategyKind::kColluder, .agents = 10,
+       .start = kHour, .duty = 0.5});
   config.telemetry.mode = telemetry::TelemetryMode::kCounters;
   ScenarioRunner runner(tr, config, 8);
   const auto firsts = trace::earliest_arrivals(tr, 1);
@@ -254,8 +256,9 @@ TEST(Integration, NoAttackMeansNoPollution) {
   const auto firsts = trace::earliest_arrivals(tr, 1);
   runner.publish_moderation(firsts[0], kMinute, "fine");
   runner.run_until(tr.duration);
-  EXPECT_EQ(runner.spam_moderator(), kInvalidModerator);
-  EXPECT_EQ(runner.colluders().size(), 0u);
+  EXPECT_EQ(runner.adversary_layout().spam_moderator(), kInvalidModerator);
+  EXPECT_TRUE(runner.adversary_layout().empty());
+  EXPECT_EQ(runner.population_size(), tr.peers.size());
 }
 
 }  // namespace

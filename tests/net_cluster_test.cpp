@@ -531,8 +531,8 @@ TEST(NetCluster, TcpClusterDigestsMatchOracleSimulation) {
       const PeerId wire_target = wire[p].dir->sample(p);
       ASSERT_EQ(oracle_target, wire_target) << "round " << r << " node " << p;
       if (oracle_target == kInvalidPeer) continue;
-      vote::vote_exchange(*oracle_agents[p], *oracle_agents[oracle_target],
-                          now);
+      vote::vote_encounter(*oracle_agents[p], *oracle_agents[oracle_target],
+                           now);
 
       NodeService& svc = *wire[p].svc;
       int conn = svc.conn_for_peer(wire_target);

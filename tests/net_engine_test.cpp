@@ -151,7 +151,7 @@ TEST(NetEngine, ColdExchangeOpensFullAndMatchesOracle) {
   a.cast(11, Opinion::kNegative, 60);
   b.cast(10, Opinion::kPositive, 55);
 
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   EnginePair e(a, b);
   wire_encounter(e.a, e.b, 100);
 
@@ -170,14 +170,14 @@ TEST(NetEngine, WarmExchangeUsesDigestDeltaAndMatchesOracle) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
 
   // New votes since the first exchange: the warm leg opens with a digest
   // and ships only the delta.
   a.cast(12, Opinion::kPositive, 150);
   b.cast(13, Opinion::kPositive, 160);
-  vote::vote_exchange(*a.sim, *b.sim, 200);
+  vote::vote_encounter(*a.sim, *b.sim, 200);
   wire_encounter(e.a, e.b, 200);
 
   expect_twins_match(a, b);
@@ -193,10 +193,10 @@ TEST(NetEngine, SteadyStateClosesOnDigestAloneAndMatchesOracle) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
   // Nothing changed: both legs are digest-only, nothing to request.
-  vote::vote_exchange(*a.sim, *b.sim, 200);
+  vote::vote_encounter(*a.sim, *b.sim, 200);
   wire_encounter(e.a, e.b, 200);
 
   expect_twins_match(a, b);
@@ -211,7 +211,7 @@ TEST(NetEngine, BrokenDigestFallsBackToFullTransparently) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
   a.cast(12, Opinion::kPositive, 150);
 
@@ -219,7 +219,7 @@ TEST(NetEngine, BrokenDigestFallsBackToFullTransparently) {
   // above the CRC (valid frame, lying checksum). The fallback full
   // retransmit must land both twins in the same end state — the fallback
   // is semantically transparent, it only costs bytes.
-  vote::vote_exchange(*a.sim, *b.sim, 200);
+  vote::vote_encounter(*a.sim, *b.sim, 200);
   wire_encounter(e.a, e.b, 200, [](Frame& f) {
     if (f.type != FrameType::kVoteDigest) return;
     vote::VoteDigestMessage d;
@@ -240,7 +240,7 @@ TEST(NetEngine, DigestRoutedFaultVerdictMatchesOracle) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
   a.cast(12, Opinion::kPositive, 150);
 
@@ -276,7 +276,7 @@ TEST(NetEngine, DeltaRoutedFaultVerdictMatchesOracle) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
   a.cast(12, Opinion::kPositive, 150);  // ensures a non-empty delta
 
@@ -309,9 +309,9 @@ TEST(NetEngine, VoxPopuliBootstrapMatchesOracle) {
   b.cast(11, Opinion::kNegative, 55);
 
   EnginePair e(a, b);
-  vote::vote_exchange(*a.sim, *b.sim, 100);
+  vote::vote_encounter(*a.sim, *b.sim, 100);
   wire_encounter(e.a, e.b, 100);
-  vote::vote_exchange(*a.sim, *b.sim, 200);
+  vote::vote_encounter(*a.sim, *b.sim, 200);
   wire_encounter(e.a, e.b, 200);
 
   expect_twins_match(a, b);
@@ -384,7 +384,7 @@ TEST(NetEngine, RepeatedEncountersStayBitIdentical) {
       b.cast(static_cast<ModeratorId>(40 + round), Opinion::kPositive,
              now - 5);
     }
-    vote::vote_exchange(*a.sim, *b.sim, now);
+    vote::vote_encounter(*a.sim, *b.sim, now);
     wire_encounter(e.a, e.b, now);
     expect_twins_match(a, b);
   }

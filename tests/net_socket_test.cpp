@@ -115,7 +115,7 @@ TEST(NetSocket, TcpSessionStateMatchesSimOracle) {
       b.cast(12, Opinion::kPositive, 150);
       a.cast(13, Opinion::kNegative, 160);
     }
-    vote::vote_exchange(*b.sim, *a.sim, times[round]);
+    vote::vote_encounter(*b.sim, *a.sim, times[round]);
     ASSERT_TRUE(svc_b.initiate_vote_encounter(cb, times[round]));
     const std::uint64_t want = static_cast<std::uint64_t>(round) + 1;
     drive(loop, [&] {

@@ -4,6 +4,7 @@
 
 #include "vote/agent.hpp"
 #include "vote/ballot_box.hpp"
+#include "vote/encounter.hpp"
 #include "vote/ranking.hpp"
 #include "vote/vote_list.hpp"
 #include "vote/voxpopuli.hpp"
@@ -464,20 +465,20 @@ TEST_F(VoteAgentTest, VoteExchangeFullFlow) {
 
   // Bob gets a vote from carol so he is past B_min and can answer VP.
   carol.agent.cast_vote(3, Opinion::kPositive, 1);
-  vote_exchange(bob.agent, carol.agent, 5);
+  vote_encounter(bob.agent, carol.agent, 5);
   ASSERT_FALSE(bob.agent.bootstrapping());
 
   // Alice exchanges with bob: she accepts bob's vote list, which lifts her
   // past B_min *before* the VP leg — Fig. 3a checks the threshold after the
   // merge, so no VP request is issued.
-  vote_exchange(alice.agent, bob.agent, 10);
+  vote_encounter(alice.agent, bob.agent, 10);
   EXPECT_EQ(alice.agent.ballot_box().unique_voters(), 1u);
   EXPECT_EQ(alice.agent.vox_cache().list_count(), 0u);
 
   // Dave considers nobody experienced: the ballot leg rejects bob's votes,
   // he stays bootstrapping, and the VP leg fires and fills his cache.
   Peer dave(3, /*experienced_result=*/false, config);
-  vote_exchange(dave.agent, bob.agent, 20);
+  vote_encounter(dave.agent, bob.agent, 20);
   EXPECT_EQ(dave.agent.ballot_box().unique_voters(), 0u);
   EXPECT_EQ(dave.agent.vox_cache().list_count(), 1u);
 }
