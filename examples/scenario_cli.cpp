@@ -167,24 +167,16 @@ Options parse(int argc, char** argv) {
       }
     } else if (!std::strcmp(arg, "--impair")) {
       // Validate with the net:: parser, then project the chaos spec onto
-      // the sim fault plane so A11-class runs accept the A12 spec string.
+      // the sim fault plane so A11-class runs accept the A12 spec string:
+      // both planes share the chaos model, and the two net-only verdicts
+      // map onto their nearest sim analogues.
       net::ImpairConfig impair;
       std::string error;
       if (!net::parse_impair_spec(need_value(i), impair, &error)) {
         std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
         usage(argv[0]);
       }
-      // The sim plane speaks Gilbert–Elliott and scheduled partitions
-      // natively now, so the chaos spec projects without averaging.
-      opt.faults.loss = impair.loss;
-      opt.faults.ge_good_to_bad = impair.ge_good_to_bad;
-      opt.faults.ge_bad_to_good = impair.ge_bad_to_good;
-      opt.faults.ge_loss_good = impair.ge_loss_good;
-      opt.faults.ge_loss_bad = impair.ge_loss_bad;
-      opt.faults.partition_period = impair.partition_period;
-      opt.faults.partition_width = impair.partition_width;
-      opt.faults.partition_frac = impair.partition_frac;
-      opt.faults.delay_rate = impair.delay_rate;
+      static_cast<util::ChaosModel&>(opt.faults) = impair;
       opt.faults.corrupt_rate =
           std::min(1.0, impair.corrupt_rate + impair.truncate_rate);
       opt.faults.crash_rate = impair.stall_rate;

@@ -1,8 +1,10 @@
 #include "adversary/config.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <limits>
+#include <string_view>
+
+#include "util/spec.hpp"
 
 namespace tribvote::adversary {
 
@@ -30,75 +32,32 @@ bool kind_from(const std::string& name, StrategyKind& out) {
   return true;
 }
 
-bool parse_strategy(const std::string& text, StrategySpec& spec,
+bool parse_strategy(std::string_view text, StrategySpec& s,
                     std::string* error) {
   const std::size_t colon = text.find(':');
-  const std::string name = text.substr(0, colon);
-  if (!kind_from(name, spec.kind)) {
+  const std::string name(text.substr(0, colon));
+  if (!kind_from(name, s.kind)) {
     return set_error(error, "unknown strategy kind '" + name + "'");
   }
-  if (colon == std::string::npos) return true;
+  if (colon == std::string_view::npos) return true;
 
-  std::istringstream in(text.substr(colon + 1));
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return set_error(error, "expected key=value, got '" + field + "'");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return set_error(error, "bad value for " + key + ": '" + value + "'");
-    }
-    auto probability = [&](double& slot) {
-      if (v < 0.0 || v > 1.0) {
-        return set_error(error, key + " must be in [0, 1]");
-      }
-      slot = v;
-      return true;
-    };
-    if (key == "n" || key == "agents") {
-      if (v < 0.0) return set_error(error, "n must be >= 0");
-      spec.agents = static_cast<std::size_t>(v);
-    } else if (key == "start") {
-      if (v < 0.0) return set_error(error, "start must be >= 0");
-      spec.start = static_cast<Time>(v);
-    } else if (key == "duty") {
-      if (v <= 0.0 || v > 1.0) {
-        return set_error(error, "duty must be in (0, 1]");
-      }
-      spec.duty = v;
-    } else if (key == "session") {
-      if (v < 1.0) return set_error(error, "session must be >= 1");
-      spec.session_mean = static_cast<Duration>(v);
-    } else if (key == "rate") {
-      if (v < 1.0) return set_error(error, "rate must be >= 1");
-      spec.rate = static_cast<std::size_t>(v);
-    } else if (key == "flip") {
-      if (!probability(spec.flip)) return false;
-    } else if (key == "region") {
-      if (v < 2.0) return set_error(error, "region must be >= 2");
-      spec.region = static_cast<std::size_t>(v);
-    } else if (key == "credit") {
-      if (v < 0.0) return set_error(error, "credit must be >= 0");
-      spec.credit_mb = v;
-    } else if (key == "fake_exp") {
-      spec.fake_experience = v != 0.0;
-    } else if (key == "fake_mb") {
-      if (v < 0.0) return set_error(error, "fake_mb must be >= 0");
-      spec.fake_mb = v;
-    } else if (key == "victim") {
-      if (v < 0.0) return set_error(error, "victim must be >= 0");
-      spec.victim = static_cast<ModeratorId>(v);
-    } else {
-      return set_error(error, "unknown adversary key '" + key + "'");
-    }
-  }
-  return true;
+  using util::integer_key;
+  using util::SpecField;
+  const util::SpecKey keys[] = {
+      integer_key("n", s.agents, 0, std::numeric_limits<PeerId>::max()),
+      integer_key("agents", s.agents, 0, std::numeric_limits<PeerId>::max()),
+      integer_key("start", s.start),
+      {"duty", [&s](SpecField& f) { return f.real(s.duty, 0.0, 1.0, true); }},
+      integer_key("session", s.session_mean, 1),
+      integer_key("rate", s.rate, 1),
+      util::rate_key("flip", s.flip),
+      integer_key("region", s.region, 2),
+      {"credit", [&s](SpecField& f) { return f.real(s.credit_mb, 0.0); }},
+      integer_key("fake_exp", s.fake_experience),
+      {"fake_mb", [&s](SpecField& f) { return f.real(s.fake_mb, 0.0); }},
+      integer_key("victim", s.victim),
+  };
+  return util::read_spec(text.substr(colon + 1), {keys}, "adversary", error);
 }
 
 }  // namespace
@@ -116,14 +75,15 @@ const char* to_string(StrategyKind kind) {
 
 bool parse_adversary_spec(const std::string& spec, AdversaryConfig& out,
                           std::string* error) {
-  std::istringstream in(spec);
-  std::string entry;
-  while (std::getline(in, entry, ';')) {
+  std::vector<StrategySpec> parsed;
+  for (std::string_view rest = spec; !rest.empty();) {
+    const std::string_view entry = util::next_token(rest, ';');
     if (entry.empty()) continue;
     StrategySpec s;
     if (!parse_strategy(entry, s, error)) return false;
-    out.roster.push_back(s);
+    parsed.push_back(s);
   }
+  out.roster.insert(out.roster.end(), parsed.begin(), parsed.end());
   return true;
 }
 

@@ -106,8 +106,11 @@ struct AdversaryConfig {
 ///   kind     := colluder | front | attrition | nuisance | sybil
 ///   key      := n | start | duty | session | rate | flip | region |
 ///               credit | fake_exp | fake_mb | victim
-/// Returns false and fills *error (if given) on an unknown kind/key or an
-/// out-of-range value. An empty spec parses to an empty roster.
+/// Values are read by util::read_spec: n, start, session, rate, region and
+/// victim are integers; duty is in (0, 1], flip in [0, 1]; fake_exp is 0/1.
+/// Returns false, leaving `out` untouched, and fills *error (if given) on
+/// an unknown kind/key or an invalid value. An empty spec parses to an
+/// empty roster.
 [[nodiscard]] bool parse_adversary_spec(const std::string& spec,
                                         AdversaryConfig& out,
                                         std::string* error = nullptr);

@@ -1,60 +1,30 @@
 #include "bt/streaming.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+
+#include "util/spec.hpp"
 
 namespace tribvote::bt {
 
-namespace {
-
-bool set_error(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
-
 bool parse_streaming_spec(const std::string& spec, StreamingConfig& out,
                           std::string* error) {
-  out = StreamingConfig{};
   if (spec.empty() || spec == "off" || spec == "0" || spec == "false") {
-    return true;
-  }
-  if (spec == "on" || spec == "1" || spec == "true") {
-    out.enabled = true;
+    out = StreamingConfig{};
     return true;
   }
   StreamingConfig parsed;
-  parsed.enabled = true;  // a key=value list implies "on"
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return set_error(error, "expected key=value, got '" + field + "'");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return set_error(error, "bad value for " + key + ": '" + value + "'");
-    }
-    if (key == "window") {
-      if (v < 1.0) return set_error(error, "window must be >= 1");
-      parsed.window = static_cast<std::size_t>(v);
-    } else if (key == "startup") {
-      if (v < 1.0) return set_error(error, "startup must be >= 1");
-      parsed.startup_pieces = static_cast<std::size_t>(v);
-    } else if (key == "kbps") {
-      if (v <= 0.0) return set_error(error, "kbps must be > 0");
-      parsed.playback_kbps = v;
-    } else {
-      return set_error(error, "unknown streaming key '" + key + "'");
-    }
+  parsed.enabled = true;  // "on", or a key=value list, which implies it
+  if (spec == "on" || spec == "1" || spec == "true") {
+    out = parsed;
+    return true;
   }
+  const util::SpecKey keys[] = {
+      util::integer_key("window", parsed.window, 1),
+      util::integer_key("startup", parsed.startup_pieces, 1),
+      {"kbps",
+       [&](util::SpecField& f) { return f.positive(parsed.playback_kbps); }},
+  };
+  if (!util::read_spec(spec, {keys}, "streaming", error)) return false;
   out = parsed;
   return true;
 }

@@ -47,9 +47,10 @@ struct StreamingTotals {
 /// Parse a streaming spec into `out`. Grammar:
 ///   spec := "off" | "on" | key '=' value (',' key '=' value)*
 ///   key  := window | startup | kbps
-/// A key=value list implies "on". Returns false and fills *error (if
-/// given) on an unknown key or out-of-range value; `out` is then left in
-/// its default (off) state.
+/// A key=value list implies "on" and starts from the defaults; window and
+/// startup are integers >= 1, kbps a real > 0. Returns false, leaving
+/// `out` untouched, and fills *error (if given) on an unknown key or an
+/// invalid value.
 [[nodiscard]] bool parse_streaming_spec(const std::string& spec,
                                         StreamingConfig& out,
                                         std::string* error = nullptr);

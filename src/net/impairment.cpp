@@ -1,154 +1,45 @@
 #include "net/impairment.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace tribvote::net {
 namespace {
 
-// Stream-key constants, same idiom as PeerDirectory's sample/sign split.
-constexpr std::uint64_t kChaosStream = 0x63686173ULL;      // "chas"
-constexpr std::uint64_t kPartitionStream = 0x70617274ULL;  // "part"
-
-bool parse_rate(const std::string& value, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0' || v < 0.0 || v > 1.0) return false;
-  out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& value, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-void fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-}
+// Stream-key constant, same idiom as PeerDirectory's sample/sign split.
+constexpr std::uint64_t kChaosStream = 0x63686173ULL;  // "chas"
 
 }  // namespace
 
 bool parse_impair_spec(const std::string& spec, ImpairConfig& out,
                        std::string* error) {
-  ImpairConfig config;  // start from defaults; commit on full success
-  if (spec.empty() || spec == "off") {
-    out = config;
-    return true;
-  }
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string field = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      fail(error, "impair field missing '=': " + field);
-      return false;
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    bool ok = true;
-    if (key == "loss") {
-      ok = parse_rate(value, config.loss);
-    } else if (key == "delay") {
-      ok = parse_rate(value, config.delay_rate);
-    } else if (key == "max_delay_ms") {
-      std::uint64_t ms = 0;
-      ok = parse_u64(value, ms) && ms <= 60'000;
-      if (ok) config.max_delay_ms = static_cast<int>(ms);
-    } else if (key == "corrupt") {
-      ok = parse_rate(value, config.corrupt_rate);
-    } else if (key == "truncate") {
-      ok = parse_rate(value, config.truncate_rate);
-    } else if (key == "stall") {
-      ok = parse_rate(value, config.stall_rate);
-    } else if (key == "ge") {
-      // Shorthand: Gilbert–Elliott tuned so the stationary chunk-loss rate
-      // equals L (the A11/A12 sweep's loss axis). Bad state loses 0.8,
-      // good state L/10, recovery r = 0.25/chunk; solving
-      //   L = pi * 0.8 + (1 - pi) * L/10   =>   pi = 0.9 L / (0.8 - 0.1 L)
-      // and the stationary balance p (1 - pi) = r pi gives the entry rate.
-      double target = 0.0;
-      ok = parse_rate(value, target) && target < 0.8;
-      if (ok && target > 0.0) {
-        config.ge_loss_bad = 0.8;
-        config.ge_loss_good = target / 10.0;
-        config.ge_bad_to_good = 0.25;
-        const double pi = 0.9 * target / (0.8 - 0.1 * target);
-        config.ge_good_to_bad = config.ge_bad_to_good * pi / (1.0 - pi);
-      }
-    } else if (key == "ge_p") {
-      ok = parse_rate(value, config.ge_good_to_bad);
-    } else if (key == "ge_r") {
-      ok = parse_rate(value, config.ge_bad_to_good);
-    } else if (key == "ge_loss_good") {
-      ok = parse_rate(value, config.ge_loss_good);
-    } else if (key == "ge_loss_bad") {
-      ok = parse_rate(value, config.ge_loss_bad);
-    } else if (key == "part_period") {
-      ok = parse_u64(value, config.partition_period);
-    } else if (key == "part_width") {
-      ok = parse_u64(value, config.partition_width) &&
-           config.partition_width > 0;
-    } else if (key == "part_frac") {
-      ok = parse_rate(value, config.partition_frac);
-    } else {
-      fail(error, "unknown impair key: " + key);
-      return false;
-    }
-    if (!ok) {
-      fail(error, "bad impair value: " + field);
-      return false;
-    }
-  }
-  out = config;
-  return true;
+  return util::parse_chaos_spec(
+      spec, "impair", out, error, [](ImpairConfig& c) {
+        return std::vector<util::SpecKey>{
+            util::rate_key("truncate", c.truncate_rate),
+            util::rate_key("stall", c.stall_rate),
+            util::integer_key("max_delay_ms", c.max_delay_ms, 0, 60'000)};
+      });
 }
 
 std::string describe(const ImpairConfig& config) {
   if (!config.enabled()) return "off";
-  char buf[256];
-  std::string s;
-  const auto add = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    if (!s.empty()) s += ',';
-    s += buf;
-  };
-  if (config.ge_good_to_bad > 0.0) {
-    add("ge_p=%.4g,ge_r=%.4g,ge_loss_good=%.4g,ge_loss_bad=%.4g",
-        config.ge_good_to_bad, config.ge_bad_to_good, config.ge_loss_good,
-        config.ge_loss_bad);
-  } else if (config.loss > 0.0) {
-    add("loss=%.4g", config.loss);
-  }
+  std::string out = util::describe_chaos(config);
   if (config.delay_rate > 0.0) {
-    add("delay=%.4g,max_delay_ms=%d", config.delay_rate,
-        config.max_delay_ms);
+    util::append_token(out, "max_delay_ms=%d", config.max_delay_ms);
   }
-  if (config.corrupt_rate > 0.0) add("corrupt=%.4g", config.corrupt_rate);
-  if (config.truncate_rate > 0.0) add("truncate=%.4g", config.truncate_rate);
-  if (config.stall_rate > 0.0) add("stall=%.4g", config.stall_rate);
-  if (config.partition_period > 0 && config.partition_frac > 0.0) {
-    add("part_period=%llu,part_width=%llu,part_frac=%.4g",
-        static_cast<unsigned long long>(config.partition_period),
-        static_cast<unsigned long long>(config.partition_width),
-        config.partition_frac);
+  if (config.truncate_rate > 0.0) {
+    util::append_token(out, "truncate=%g", config.truncate_rate);
   }
-  return s;
+  if (config.stall_rate > 0.0) {
+    util::append_token(out, "stall=%g", config.stall_rate);
+  }
+  return out;
 }
 
 Impairment::Impairment(ImpairConfig config, std::uint64_t seed, PeerId self)
     : config_(config),
-      master_(util::Rng(seed).derive(kChaosStream)),
-      seed_(seed),
+      root_(seed),
+      master_(root_.derive(kChaosStream)),
       self_(self) {}
 
 std::uint64_t Impairment::open_stream() {
@@ -168,14 +59,9 @@ Impairment::Verdict Impairment::draw(std::uint64_t key, Stream& s,
   util::Rng r = master_.derive(key).derive(chunk);
   Verdict v;
   double loss_p = config_.loss;
-  if (config_.ge_good_to_bad > 0.0) {
-    if (s.ge_bad) {
-      if (r.next_bool(config_.ge_bad_to_good)) s.ge_bad = false;
-    } else {
-      if (r.next_bool(config_.ge_good_to_bad)) s.ge_bad = true;
-    }
+  if (config_.ge_on()) {
+    loss_p = config_.ge_step(s.ge_bad, r);
     if (s.ge_bad) ++stats_.ge_bad_chunks;
-    loss_p = s.ge_bad ? config_.ge_loss_bad : config_.ge_loss_good;
   }
   v.drop = r.next_bool(loss_p);
   v.stall = r.next_bool(config_.stall_rate);
@@ -271,21 +157,7 @@ void Impairment::ingest(std::uint64_t key, const std::uint8_t* data,
 }
 
 bool Impairment::offline(PeerId peer) const {
-  if (config_.partition_period == 0 || config_.partition_frac <= 0.0) {
-    return false;
-  }
-  // The first window opens one full period in, never at round 0 — the
-  // bootstrap shuffle must finish before anyone goes dark.
-  if (round_ < config_.partition_period) return false;
-  if (round_ % config_.partition_period >= config_.partition_width) {
-    return false;
-  }
-  const std::uint64_t window = round_ / config_.partition_period;
-  util::Rng r = util::Rng(seed_)
-                    .derive(kPartitionStream)
-                    .derive(window)
-                    .derive(static_cast<std::uint64_t>(peer));
-  return r.next_bool(config_.partition_frac);
+  return config_.partitioned(root_, round_, peer);
 }
 
 }  // namespace tribvote::net

@@ -18,13 +18,9 @@
 // byte-identical impairment — the property CI's chaos-smoke job asserts by
 // diffing state digests across two impaired tribvote_cluster runs.
 //
-// Two correlated-WAN extensions beyond i.i.d. verdicts (ROADMAP adversary
-// item (c)): a Gilbert–Elliott two-state chain (good/bad) whose state
-// advances once per chunk and selects that chunk's loss rate, so losses
-// arrive in bursts; and scheduled partition events — every
-// `partition_period` rounds a window opens during which each node is
-// offline with probability partition_frac, keyed (seed, window, node), so
-// whole subsets of peers vanish and return together.
+// The shared chaos model (util/chaos.hpp) adds correlated faults: bursty
+// Gilbert–Elliott loss and partition windows in which whole subsets of
+// peers vanish and return together.
 //
 // With every rate at zero the shim is inert: NodeService never attaches it
 // (enabled() is false), no RNG is drawn, and runs are byte-identical to a
@@ -36,26 +32,20 @@
 #include <string>
 #include <vector>
 
+#include "util/chaos.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace tribvote::net {
 
-/// Chaos knobs (TRIBVOTE_NET_IMPAIR / --impair). All chunk rates are
-/// per-chunk probabilities in [0, 1].
-struct ImpairConfig {
-  /// i.i.d. per-chunk drop. A TCP stream cannot lose bytes and live, so a
-  /// dropped chunk resets the connection (the consumer redials).
-  double loss = 0.0;
-  /// Per-chunk probability of a bounded delivery delay; the chunk (and
-  /// everything behind it — order is preserved) lands up to max_delay_ms
-  /// later via an EventLoop timer.
-  double delay_rate = 0.0;
+/// Chaos knobs (TRIBVOTE_NET_IMPAIR / --impair). The shared chaos model
+/// (util/chaos.hpp) is drawn per chunk: a lost chunk resets the connection
+/// (the consumer redials), a delayed one and everything behind it lands up
+/// to max_delay_ms later, a corrupt one carries a bit flip the frame CRC
+/// catches, and partition rounds are the scheduler's rounds.
+struct ImpairConfig : util::ChaosModel {
   int max_delay_ms = 40;
-  /// Per-chunk single-bit flip — the frame CRC catches it and the
-  /// connection closes as checksum-reject (PROTOCOL.md §5).
-  double corrupt_rate = 0.0;
   /// Per-chunk truncation: a prefix is delivered, then the stream resets
   /// mid-frame (net.truncated on the receiver).
   double truncate_rate = 0.0;
@@ -63,39 +53,15 @@ struct ImpairConfig {
   /// socket stays open — a half-open peer only a deadline can evict.
   double stall_rate = 0.0;
 
-  /// Gilbert–Elliott bursty loss. When ge_good_to_bad > 0 the chain is on:
-  /// each chunk first advances the two-state chain, then draws its loss
-  /// from the state's rate — `loss` above is ignored.
-  double ge_good_to_bad = 0.0;  ///< P(good -> bad) per chunk
-  double ge_bad_to_good = 0.25; ///< P(bad -> good) per chunk
-  double ge_loss_good = 0.0;    ///< per-chunk loss in the good state
-  double ge_loss_bad = 0.8;     ///< per-chunk loss in the bad state
-
-  /// Scheduled partitions: every partition_period rounds a window of
-  /// partition_width rounds opens; inside it each node is offline with
-  /// probability partition_frac, keyed (seed, window index, node id).
-  /// 0 period = no partitions.
-  std::uint64_t partition_period = 0;
-  std::uint64_t partition_width = 1;
-  double partition_frac = 0.0;
-
   [[nodiscard]] bool enabled() const noexcept {
-    return loss > 0.0 || delay_rate > 0.0 || corrupt_rate > 0.0 ||
-           truncate_rate > 0.0 || stall_rate > 0.0 ||
-           ge_good_to_bad > 0.0 ||
-           (partition_period > 0 && partition_frac > 0.0);
+    return ChaosModel::enabled() || truncate_rate > 0.0 || stall_rate > 0.0;
   }
 };
 
-/// Parse "loss=0.1,delay=0.2,max_delay_ms=40,corrupt=0.01,truncate=0.01,
-/// stall=0.005,ge_p=0.1,ge_r=0.25,ge_loss_good=0.01,ge_loss_bad=0.8,
-/// part_period=8,part_width=2,part_frac=0.25" into `out` (starting from
-/// defaults). The shorthand "ge=L" configures the Gilbert–Elliott chain
-/// for a target average chunk-loss L (the A12 sweep's loss axis): bad
-/// state loses 0.8, good state L/10, recovery 0.25/chunk, and the
-/// good->bad rate is solved so the stationary loss equals L. Returns
-/// false and fills *error (if given) on an unknown key or out-of-range
-/// value.
+/// Parse a spec such as "ge=0.3,delay=0.2,max_delay_ms=40,truncate=0.01,
+/// stall=0.005,part_period=8,part_frac=0.25" over `out` with
+/// util::parse_chaos_spec: the shared keys plus truncate, stall and
+/// max_delay_ms.
 [[nodiscard]] bool parse_impair_spec(const std::string& spec,
                                      ImpairConfig& out,
                                      std::string* error = nullptr);
@@ -161,7 +127,8 @@ class Impairment {
   void set_round(std::uint64_t round) noexcept { round_ = round; }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   /// Is `peer` inside an active partition window right now? Pure function
-  /// of (seed, window index, peer) — every node computes the same answer.
+  /// of (seed, window index, peer), keyed like the sim's partitions —
+  /// every node computes the same answer.
   [[nodiscard]] bool offline(PeerId peer) const;
   [[nodiscard]] bool self_offline() const { return offline(self_); }
 
@@ -191,8 +158,8 @@ class Impairment {
                              std::uint64_t chunk);
 
   ImpairConfig config_;
-  util::Rng master_;
-  std::uint64_t seed_;
+  util::Rng root_;    ///< util::Rng(seed): the partition schedule's root
+  util::Rng master_;  ///< root_.derive(kChaosStream): the verdict streams
   PeerId self_;
   std::uint64_t round_ = 0;
   std::uint64_t next_key_ = 1;

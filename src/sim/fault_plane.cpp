@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <sstream>
 
 #include "util/hash.hpp"
 
@@ -11,113 +9,33 @@ namespace tribvote::sim {
 
 // ---- config ----------------------------------------------------------------
 
-namespace {
-
-bool set_error(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
-
 bool parse_fault_spec(const std::string& spec, FaultConfig& out,
                       std::string* error) {
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return set_error(error, "expected key=value, got '" + field + "'");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return set_error(error, "bad value for " + key + ": '" + value + "'");
-    }
-    auto probability = [&](double& slot) {
-      if (v < 0.0 || v > 1.0) {
-        return set_error(error, key + " must be in [0, 1]");
-      }
-      slot = v;
-      return true;
-    };
-    if (key == "loss") {
-      if (!probability(out.loss)) return false;
-    } else if (key == "delay" || key == "delay_rate") {
-      if (!probability(out.delay_rate)) return false;
-    } else if (key == "crash" || key == "crash_rate") {
-      if (!probability(out.crash_rate)) return false;
-    } else if (key == "corrupt" || key == "corrupt_rate") {
-      if (!probability(out.corrupt_rate)) return false;
-    } else if (key == "max_delay") {
-      if (v < 1.0) return set_error(error, "max_delay must be >= 1");
-      out.max_delay = static_cast<Duration>(v);
-    } else if (key == "retries") {
-      if (v < 0.0) return set_error(error, "retries must be >= 0");
-      out.vp_retry_budget = static_cast<std::size_t>(v);
-    } else if (key == "retry_base") {
-      if (v < 1.0) return set_error(error, "retry_base must be >= 1");
-      out.vp_retry_base = static_cast<Duration>(v);
-    } else if (key == "ge") {
-      // Shorthand: tune the chain for a stationary loss rate of v, the
-      // same solver as net::parse_impair_spec so A11/A12 sweep one axis.
-      if (v < 0.0 || v >= 0.8) {
-        return set_error(error, "ge must be in [0, 0.8)");
-      }
-      out.ge_loss_bad = 0.8;
-      out.ge_loss_good = v / 10.0;
-      out.ge_bad_to_good = 0.25;
-      const double pi = 0.9 * v / (0.8 - 0.1 * v);
-      out.ge_good_to_bad = out.ge_bad_to_good * pi / (1.0 - pi);
-    } else if (key == "ge_p") {
-      if (!probability(out.ge_good_to_bad)) return false;
-    } else if (key == "ge_r") {
-      if (!probability(out.ge_bad_to_good)) return false;
-    } else if (key == "ge_loss_good") {
-      if (!probability(out.ge_loss_good)) return false;
-    } else if (key == "ge_loss_bad") {
-      if (!probability(out.ge_loss_bad)) return false;
-    } else if (key == "part_period") {
-      if (v < 0.0) return set_error(error, "part_period must be >= 0");
-      out.partition_period = static_cast<std::uint64_t>(v);
-    } else if (key == "part_width") {
-      if (v < 1.0) return set_error(error, "part_width must be >= 1");
-      out.partition_width = static_cast<std::uint64_t>(v);
-    } else if (key == "part_frac") {
-      if (!probability(out.partition_frac)) return false;
-    } else {
-      return set_error(error, "unknown fault key '" + key + "'");
-    }
-  }
-  return true;
+  return util::parse_chaos_spec(spec, "fault", out, error, [](FaultConfig& c) {
+    // Retry n waits vp_retry_base << (n - 1); the bounds keep that in range.
+    return std::vector<util::SpecKey>{
+        util::rate_key("crash", c.crash_rate),
+        util::rate_key("crash_rate", c.crash_rate),
+        util::rate_key("delay_rate", c.delay_rate),
+        util::rate_key("corrupt_rate", c.corrupt_rate),
+        util::integer_key("max_delay", c.max_delay, 1),
+        util::integer_key("retries", c.vp_retry_budget, 0, 32),
+        util::integer_key("retry_base", c.vp_retry_base, 1, 1u << 31)};
+  });
 }
 
 std::string describe(const FaultConfig& config) {
   if (!config.enabled()) return "off";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "loss=%g delay=%g/%llds crash=%g corrupt=%g retry=%zux%llds",
-                config.loss, config.delay_rate,
-                static_cast<long long>(config.max_delay), config.crash_rate,
-                config.corrupt_rate, config.vp_retry_budget,
-                static_cast<long long>(config.vp_retry_base));
-  std::string out = buf;
-  if (config.ge_good_to_bad > 0.0) {
-    std::snprintf(buf, sizeof(buf), " ge=%g/%g(%g,%g)", config.ge_good_to_bad,
-                  config.ge_bad_to_good, config.ge_loss_good,
-                  config.ge_loss_bad);
-    out += buf;
+  std::string out = util::describe_chaos(config);
+  if (config.delay_rate > 0.0) {
+    util::append_token(out, "max_delay=%llds",
+                       static_cast<long long>(config.max_delay));
   }
-  if (config.partition_period > 0 && config.partition_frac > 0.0) {
-    std::snprintf(buf, sizeof(buf), " part=%llu/%llux%g",
-                  static_cast<unsigned long long>(config.partition_period),
-                  static_cast<unsigned long long>(config.partition_width),
-                  config.partition_frac);
-    out += buf;
+  if (config.crash_rate > 0.0) {
+    util::append_token(out, "crash=%g", config.crash_rate);
   }
+  util::append_token(out, "retry=%zux%llds", config.vp_retry_budget,
+                     static_cast<long long>(config.vp_retry_base));
   return out;
 }
 
@@ -189,20 +107,7 @@ FaultPlane::FaultPlane(FaultConfig config, util::Rng stream,
 }
 
 bool FaultPlane::partitioned(std::uint64_t round, PeerId node) const {
-  if (config_.partition_period == 0 || config_.partition_frac <= 0.0) {
-    return false;
-  }
-  // The first window opens one full period in, so cold-start rounds are
-  // never dark (mirrors net::Impairment::offline).
-  if (round < config_.partition_period) return false;
-  if (round % config_.partition_period >= config_.partition_width) {
-    return false;
-  }
-  const std::uint64_t window = round / config_.partition_period;
-  constexpr std::uint64_t kPartitionStream = 0x70617274;  // "part"
-  util::Rng r = stream_.derive(util::digest_fields(
-      {kPartitionStream, window, static_cast<std::uint64_t>(node)}));
-  return r.next_bool(config_.partition_frac);
+  return config_.partitioned(stream_, round, node);
 }
 
 util::Rng FaultPlane::encounter_stream(Protocol proto, std::uint64_t round,
@@ -231,9 +136,8 @@ const std::vector<EncounterFaults>& FaultPlane::draw_round(
     return std::binary_search(crashed_set_.begin(), crashed_set_.end(), id);
   };
 
-  const bool partitions_on =
-      config_.partition_period > 0 && config_.partition_frac > 0.0;
-  const bool ge_on = config_.ge_good_to_bad > 0.0;
+  const bool partitions_on = config_.partitions_on();
+  const bool ge_on = config_.ge_on();
   bool& ge_bad = ge_bad_[static_cast<std::size_t>(proto)];
 
   for (const Encounter& e : encounters) {
@@ -259,15 +163,10 @@ const std::vector<EncounterFaults>& FaultPlane::draw_round(
     util::Rng r = encounter_stream(proto, current_round_, e.seq);
     double loss_p = config_.loss;
     if (ge_on) {
-      // Advance the two-state chain once per encounter, in seq order —
-      // this loop is serial, so the chain trajectory is shard-invariant.
-      if (ge_bad) {
-        if (r.next_bool(config_.ge_bad_to_good)) ge_bad = false;
-      } else {
-        if (r.next_bool(config_.ge_good_to_bad)) ge_bad = true;
-      }
+      // Advance the chain once per encounter, in seq order — this loop is
+      // serial, so the chain trajectory is shard-invariant.
+      loss_p = config_.ge_step(ge_bad, r);
       if (ge_bad) ++c.ge_bad_encounters;
-      loss_p = ge_bad ? config_.ge_loss_bad : config_.ge_loss_good;
     }
     f.drop_request = r.next_bool(loss_p);
     f.drop_reply = r.next_bool(loss_p);

@@ -36,20 +36,19 @@
 #include <vector>
 
 #include "sim/shard_kernel.hpp"
+#include "util/chaos.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace tribvote::sim {
 
-/// Transport-fault knobs (ScenarioConfig::faults / TRIBVOTE_FAULTS).
-struct FaultConfig {
-  /// Per-message drop probability, applied independently to the request
-  /// and the reply leg of an encounter.
-  double loss = 0.0;
-  /// Probability that a (non-lost) reply is delayed instead of landing
-  /// within the encounter.
-  double delay_rate = 0.0;
+/// Transport-fault knobs (ScenarioConfig::faults / TRIBVOTE_FAULTS). The
+/// shared chaos model (util/chaos.hpp) is drawn per encounter: `loss` per
+/// leg, `delay_rate` per non-lost reply, `corrupt_rate` per payload, the
+/// GE chain once per encounter in seq order, and partition rounds are
+/// protocol rounds, so protocols sharing a gossip period go dark together.
+struct FaultConfig : util::ChaosModel {
   /// Delay bound in simulated seconds; a delayed reply lands uniformly in
   /// [1, max_delay] ticks via the event queue.
   Duration max_delay = 30;
@@ -57,46 +56,20 @@ struct FaultConfig {
   /// (it processes the request, the reply is lost, and the peer leaves
   /// the online set through the regular peer_offline path).
   double crash_rate = 0.0;
-  /// Per-message probability of payload truncation or corruption.
-  double corrupt_rate = 0.0;
   /// VoxPopuli hardening: retry budget per failed top-K request and the
   /// base backoff (attempt n fires after vp_retry_base * 2^(n-1) s).
   std::size_t vp_retry_budget = 4;
   Duration vp_retry_base = 15;
 
-  /// Gilbert–Elliott bursty loss, mirroring net::Impairment (DESIGN.md
-  /// §16) so A11 and A12 sweep the same correlated-loss axis. When
-  /// ge_good_to_bad > 0 the chain is on: it advances once per encounter
-  /// (in seq order, during the serial draw) and the per-leg drop
-  /// probability follows the chain state instead of the i.i.d. `loss`.
-  /// The `ge=L` spec shorthand tunes the chain so the stationary loss
-  /// rate equals L (same solver as the net plane).
-  double ge_good_to_bad = 0.0;  ///< P(good -> bad) per encounter
-  double ge_bad_to_good = 0.25; ///< P(bad -> good) per encounter
-  double ge_loss_good = 0.0;    ///< per-leg loss in the good state
-  double ge_loss_bad = 0.8;     ///< per-leg loss in the bad state
-
-  /// Scheduled partitions: every partition_period protocol rounds a
-  /// window of partition_width rounds opens; inside it each node is
-  /// unreachable with probability partition_frac, keyed (plane seed,
-  /// window index, node id) — a pure function, so protocols whose gossip
-  /// periods coincide (vote/moderation/newscast at the default 60 s)
-  /// see the same nodes dark. 0 period = no partitions.
-  std::uint64_t partition_period = 0;
-  std::uint64_t partition_width = 1;
-  double partition_frac = 0.0;
-
   [[nodiscard]] bool enabled() const noexcept {
-    return loss > 0.0 || delay_rate > 0.0 || crash_rate > 0.0 ||
-           corrupt_rate > 0.0 || ge_good_to_bad > 0.0 ||
-           (partition_period > 0 && partition_frac > 0.0);
+    return ChaosModel::enabled() || crash_rate > 0.0;
   }
 };
 
-/// Parse a "loss=0.3,delay=0.1,max_delay=120,crash=0.01,corrupt=0.05,
-/// retries=4,retry_base=15" spec into `out` (starting from defaults).
-/// Returns false and fills *error (if given) on an unknown key or an
-/// out-of-range value.
+/// Parse a spec such as "loss=0.3,delay=0.1,max_delay=120,crash=0.01,
+/// retries=4" over `out` with util::parse_chaos_spec: the shared keys plus
+/// crash, max_delay, retries, retry_base and the delay_rate, crash_rate and
+/// corrupt_rate aliases.
 [[nodiscard]] bool parse_fault_spec(const std::string& spec, FaultConfig& out,
                                     std::string* error = nullptr);
 
@@ -259,10 +232,8 @@ class FaultPlane {
   [[nodiscard]] FaultStats& serial_stats() noexcept { return stats_; }
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
 
-  /// Whether `node` is dark during protocol round `round` under the
-  /// scheduled-partition schedule. Pure function of (plane seed, window
-  /// index, node) — protocol deliberately absent from the key, so
-  /// protocols sharing a gossip period see aligned partition windows.
+  /// Whether `node` is dark in protocol round `round`: the shared
+  /// partition schedule rooted at this plane's stream (protocol-free).
   [[nodiscard]] bool partitioned(std::uint64_t round, PeerId node) const;
 
  private:

@@ -41,36 +41,6 @@ bt::LedgerBackend ledger_backend() {
   return bt::LedgerBackend::kMap;
 }
 
-FaultConfig faults() {
-  FaultConfig config;
-  const char* v = std::getenv("TRIBVOTE_FAULTS");
-  if (v == nullptr) return config;
-  std::string error;
-  if (!parse_fault_spec(v, config, &error)) {
-    std::fprintf(stderr,
-                 "warning: TRIBVOTE_FAULTS=%s is not a fault spec (%s); "
-                 "running fault-free\n",
-                 v, error.c_str());
-    return FaultConfig{};
-  }
-  return config;
-}
-
-telemetry::TelemetryConfig telemetry() {
-  telemetry::TelemetryConfig config;
-  const char* v = std::getenv("TRIBVOTE_TELEMETRY");
-  if (v == nullptr) return config;
-  std::string error;
-  if (!telemetry::parse_telemetry_spec(v, config, &error)) {
-    std::fprintf(stderr,
-                 "warning: TRIBVOTE_TELEMETRY=%s is not a telemetry spec "
-                 "(%s); telemetry off\n",
-                 v, error.c_str());
-    return telemetry::TelemetryConfig{};
-  }
-  return config;
-}
-
 namespace {
 
 /// Like env_size but 0 is a valid value (deadline knobs use 0 = off).
@@ -82,7 +52,34 @@ long env_nonneg(const char* name, long fallback) {
   return (end != nullptr && *end == '\0' && parsed >= 0) ? parsed : fallback;
 }
 
+/// The spec in environment variable `name`, parsed over a default Config;
+/// a malformed spec falls back to Config{} with a warning naming `fallback`.
+template <class Config, class Parse>
+Config env_spec(const char* name, const char* noun, const char* fallback,
+                Parse parse) {
+  Config config;
+  const char* v = std::getenv(name);
+  std::string error;
+  if (v != nullptr && !parse(v, config, &error)) {
+    std::fprintf(stderr, "warning: %s=%s is not %s (%s); %s\n", name, v,
+                 noun, error.c_str(), fallback);
+    return Config{};
+  }
+  return config;
+}
+
 }  // namespace
+
+FaultConfig faults() {
+  return env_spec<FaultConfig>("TRIBVOTE_FAULTS", "a fault spec",
+                               "running fault-free", parse_fault_spec);
+}
+
+telemetry::TelemetryConfig telemetry() {
+  return env_spec<telemetry::TelemetryConfig>(
+      "TRIBVOTE_TELEMETRY", "a telemetry spec", "telemetry off",
+      telemetry::parse_telemetry_spec);
+}
 
 NetOptions net() {
   NetOptions o;
@@ -254,33 +251,15 @@ bool CliFlags::host_port(const char* name, std::string& host,
 }
 
 adversary::AdversaryConfig adversary() {
-  adversary::AdversaryConfig config;
-  const char* v = std::getenv("TRIBVOTE_ADVERSARY");
-  if (v == nullptr) return config;
-  std::string error;
-  if (!adversary::parse_adversary_spec(v, config, &error)) {
-    std::fprintf(stderr,
-                 "warning: TRIBVOTE_ADVERSARY=%s is not an adversary spec "
-                 "(%s); running adversary-free\n",
-                 v, error.c_str());
-    return adversary::AdversaryConfig{};
-  }
-  return config;
+  return env_spec<adversary::AdversaryConfig>(
+      "TRIBVOTE_ADVERSARY", "an adversary spec", "running adversary-free",
+      adversary::parse_adversary_spec);
 }
 
 bt::StreamingConfig streaming() {
-  bt::StreamingConfig config;
-  const char* v = std::getenv("TRIBVOTE_STREAMING");
-  if (v == nullptr) return config;
-  std::string error;
-  if (!bt::parse_streaming_spec(v, config, &error)) {
-    std::fprintf(stderr,
-                 "warning: TRIBVOTE_STREAMING=%s is not a streaming spec "
-                 "(%s); running the download workload\n",
-                 v, error.c_str());
-    return bt::StreamingConfig{};
-  }
-  return config;
+  return env_spec<bt::StreamingConfig>(
+      "TRIBVOTE_STREAMING", "a streaming spec",
+      "running the download workload", bt::parse_streaming_spec);
 }
 
 bool gossip_cache() {
