@@ -6,6 +6,7 @@
 // the cost of a fake identity; higher T delays honest newcomers.
 #include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -16,6 +17,13 @@ using namespace tribvote;
 namespace {
 
 constexpr std::array<double, 7> kThresholds{0.5, 1, 2, 5, 10, 25, 50};
+
+/// Replica series name of threshold index k ("T0", "T1", ...).
+std::string threshold_key(std::size_t k) {
+  std::string key = "T";
+  key += std::to_string(k);
+  return key;
+}
 
 core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index) {
   core::ScenarioConfig config;
@@ -49,7 +57,7 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index) {
 
   core::ReplicaResult result;
   for (std::size_t k = 0; k < kThresholds.size(); ++k) {
-    result.series["T" + std::to_string(k)] = std::move(series[k]);
+    result.series[threshold_key(k)] = std::move(series[k]);
   }
   return result;
 }
@@ -76,12 +84,12 @@ int main() {
   std::vector<std::pair<std::string, metrics::AggregateSeries>> out;
   for (std::size_t k = 0; k < kThresholds.size(); ++k) {
     const auto agg =
-        core::aggregate_named(results, "T" + std::to_string(k));
+        core::aggregate_named(results, threshold_key(k));
     std::printf("%8g  %10.3f  %12.1f  %12.1f  %12.1f\n", kThresholds[k],
                 agg.mean.empty() ? 0.0 : agg.mean.back(),
                 hours_to_reach(agg, 0.10), hours_to_reach(agg, 0.20),
                 hours_to_reach(agg, 0.40));
-    char name[16];
+    char name[32];  // fits "cev_T" plus the longest %g rendering
     std::snprintf(name, sizeof name, "cev_T%g", kThresholds[k]);
     out.emplace_back(name, agg);
   }

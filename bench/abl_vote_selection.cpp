@@ -101,7 +101,7 @@ Outcome run(vote::SelectionPolicy policy, std::uint64_t seed) {
     auto j = static_cast<PeerId>(pair_rng.next_below(kVoters));
     while (j == i) j = static_cast<PeerId>(pair_rng.next_below(kVoters));
     vote::vote_encounter(*pop.agents[i], *pop.agents[j],
-                         static_cast<Time>(kModerators + round));
+                         static_cast<Time>(kModerators) + round);
   }
   return evaluate(pop);
 }

@@ -444,7 +444,7 @@ void BM_PiecePickerRarest(benchmark::State& state) {
   bt::PiecePicker picker(pieces);
   util::Rng rng(12);
   bt::Bitfield uploader(pieces), downloader(pieces);
-  std::vector<bool> in_flight(pieces, false);
+  bt::Bitfield in_flight(pieces);
   for (std::size_t i = 0; i < pieces; ++i) {
     for (std::uint64_t a = 0; a < rng.next_below(6); ++a) {
       picker.add_have(i);

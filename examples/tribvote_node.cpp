@@ -84,7 +84,8 @@ struct ScheduledCast {
 std::vector<ScheduledCast> casts_for(std::uint64_t seed, int round,
                                      int casts) {
   std::vector<ScheduledCast> out;
-  util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (round + 1)));
+  const std::uint64_t stream = static_cast<std::uint64_t>(round) + 1;
+  util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * stream));
   const Time base = round_time(round) - kRoundPeriod;
   for (int i = 0; i < casts; ++i) {
     out.push_back({static_cast<ModeratorId>(1 + rng.next_below(24)),
@@ -127,7 +128,8 @@ void apply_casts(vote::VoteAgent& agent, std::uint64_t seed, int round,
 void apply_publishes(moderation::ModerationCastAgent& mod, PeerId id,
                      int mods, Time now) {
   for (int j = 0; j < mods; ++j) {
-    mod.publish(static_cast<std::uint64_t>(id) * 1000 + j,
+    mod.publish(static_cast<std::uint64_t>(id) * 1000 +
+                    static_cast<std::uint64_t>(j),
                 "mod-" + std::to_string(id) + "-" + std::to_string(j), now);
   }
 }

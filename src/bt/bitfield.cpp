@@ -1,6 +1,5 @@
 #include "bt/bitfield.hpp"
 
-#include <bit>
 #include <cassert>
 
 namespace tribvote::bt {
@@ -15,12 +14,22 @@ bool Bitfield::test(std::size_t i) const noexcept {
 
 void Bitfield::set(std::size_t i) noexcept {
   assert(i < n_bits_);
-  words_[i / 64] |= (1ULL << (i % 64));
+  std::uint64_t& w = words_[i / 64];
+  const std::uint64_t bit = 1ULL << (i % 64);
+  if ((w & bit) == 0) {
+    w |= bit;
+    ++count_;
+  }
 }
 
 void Bitfield::reset(std::size_t i) noexcept {
   assert(i < n_bits_);
-  words_[i / 64] &= ~(1ULL << (i % 64));
+  std::uint64_t& w = words_[i / 64];
+  const std::uint64_t bit = 1ULL << (i % 64);
+  if ((w & bit) != 0) {
+    w &= ~bit;
+    --count_;
+  }
 }
 
 void Bitfield::set_all() noexcept {
@@ -29,6 +38,7 @@ void Bitfield::set_all() noexcept {
   // Clear the padding bits in the final word.
   const std::size_t rem = n_bits_ % 64;
   if (rem != 0) words_.back() &= (1ULL << rem) - 1;
+  count_ = n_bits_;
 }
 
 bool Bitfield::has_piece_not_in(const Bitfield& other) const noexcept {
@@ -37,14 +47,6 @@ bool Bitfield::has_piece_not_in(const Bitfield& other) const noexcept {
     if (words_[w] & ~other.words_[w]) return true;
   }
   return false;
-}
-
-std::size_t Bitfield::count() const noexcept {
-  std::size_t total = 0;
-  for (std::uint64_t w : words_) {
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  return total;
 }
 
 }  // namespace tribvote::bt

@@ -32,11 +32,11 @@ class PiecePicker {
   [[nodiscard]] std::uint32_t availability(std::size_t piece) const;
 
   /// Pick the rarest piece such that `uploader_has.test(p)`,
-  /// `!downloader_has.test(p)` and `!in_flight[p]`. Returns kNoPiece when no
-  /// piece qualifies. `in_flight` is indexed by piece and sized n_pieces.
+  /// `!downloader_has.test(p)` and `!in_flight.test(p)`. Returns kNoPiece
+  /// when no piece qualifies. All three bitfields are sized n_pieces.
   [[nodiscard]] std::size_t pick(const Bitfield& uploader_has,
                                  const Bitfield& downloader_has,
-                                 const std::vector<bool>& in_flight,
+                                 const Bitfield& in_flight,
                                  util::Rng& rng) const;
 
   /// Like pick(), but restricted to pieces in [lo, hi) — the streaming
@@ -45,7 +45,7 @@ class PiecePicker {
   /// qualifies (callers fall back to the unrestricted pick for the tail).
   [[nodiscard]] std::size_t pick_window(const Bitfield& uploader_has,
                                         const Bitfield& downloader_has,
-                                        const std::vector<bool>& in_flight,
+                                        const Bitfield& in_flight,
                                         std::size_t lo, std::size_t hi,
                                         util::Rng& rng) const;
 

@@ -39,7 +39,7 @@ void Swarm::add_member(PeerId peer, bool as_seed) {
   assert(!is_member(peer));
   Member m;
   m.have = Bitfield(n_pieces_);
-  m.in_flight.assign(n_pieces_, false);
+  m.in_flight = Bitfield(n_pieces_);
   if (as_seed) {
     m.have.set_all();
     m.completed = true;
@@ -121,7 +121,7 @@ void Swarm::drop_links_to(PeerId uploader) {
   for (auto& [id, m] : members_) {
     const auto it = m.links.find(uploader);
     if (it != m.links.end()) {
-      if (it->second.piece != kNoPiece) m.in_flight[it->second.piece] = false;
+      if (it->second.piece != kNoPiece) m.in_flight.reset(it->second.piece);
       m.links.erase(it);
     }
   }
@@ -129,14 +129,14 @@ void Swarm::drop_links_to(PeerId uploader) {
 
 void Swarm::clear_own_links(Member& m) {
   for (auto& [uploader, link] : m.links) {
-    if (link.piece != kNoPiece) m.in_flight[link.piece] = false;
+    if (link.piece != kNoPiece) m.in_flight.reset(link.piece);
   }
   m.links.clear();
 }
 
 void Swarm::complete_piece(PeerId peer, Member& m, std::size_t piece) {
   m.have.set(piece);
-  m.in_flight[piece] = false;
+  m.in_flight.reset(piece);
   picker_.add_have(piece);  // member is active by construction here
   probes.pieces_completed.add();
   if (m.have.all() && !m.completed) {
@@ -218,11 +218,16 @@ void Swarm::tick(double dt) {
     }
   }
 
-  // Per-round download budgets (shared across all uploaders of a member).
-  std::unordered_map<PeerId, double> down_budget;
-  for (const auto& [id, m] : members_) {
+  // The round's leecher roster: the active members still downloading, in
+  // ascending PeerId order, each with its download budget for the round
+  // (shared across all its uploaders). Nothing joins, leaves or changes
+  // activity during a tick, but a leecher can complete mid-tick, so every
+  // scan below re-checks `completed`.
+  leechers_.clear();
+  for (auto& [id, m] : members_) {
     if (m.active && !m.completed) {
-      down_budget[id] = bandwidth_->download_share_bytes(id, dt);
+      m.down_budget = bandwidth_->download_share_bytes(id, dt);
+      leechers_.emplace_back(id, &m);
     }
   }
 
@@ -231,23 +236,23 @@ void Swarm::tick(double dt) {
     if (!uploader.active || uploader.have.none()) continue;
 
     // Interested candidates: active downloaders this uploader can serve.
-    std::vector<ChokeCandidate> candidates;
-    for (const auto& [cand_id, cand] : members_) {
-      if (cand_id == uploader_id || !cand.active || cand.completed) continue;
+    // Leechers reciprocate (tit-for-tat): rank by bytes recently received
+    // from the candidate. Seeds serve their fastest recent downloaders.
+    const auto& window =
+        uploader.completed ? uploader.tx_window : uploader.rx_window;
+    candidates_.clear();
+    for (const auto& [cand_id, cand] : leechers_) {
+      if (cand_id == uploader_id || cand->completed) continue;
       if (!link_allowed(uploader_id, cand_id)) continue;
-      if (!uploader.have.has_piece_not_in(cand.have)) continue;
-      // Leechers reciprocate (tit-for-tat): rank by bytes recently received
-      // from the candidate. Seeds serve their fastest recent downloaders.
-      const auto& window =
-          uploader.completed ? uploader.tx_window : uploader.rx_window;
+      if (!uploader.have.has_piece_not_in(cand->have)) continue;
       const auto wit = window.find(cand_id);
-      candidates.push_back(ChokeCandidate{
+      candidates_.push_back(ChokeCandidate{
           cand_id, wit == window.end() ? 0.0 : wit->second});
     }
-    if (candidates.empty()) continue;
+    if (candidates_.empty()) continue;
 
     const std::vector<PeerId> unchoked =
-        uploader.choker.select(std::move(candidates), rng_);
+        uploader.choker.select(candidates_, rng_);
     if (unchoked.empty()) continue;
 
     const double budget = bandwidth_->upload_share_bytes(uploader_id, dt);
@@ -256,7 +261,7 @@ void Swarm::tick(double dt) {
 
     for (PeerId down_id : unchoked) {
       Member& down = members_.at(down_id);
-      double& remaining = down_budget[down_id];
+      double& remaining = down.down_budget;
       double amount = std::min(share, remaining);
       if (amount <= 0.0) continue;
 
@@ -267,7 +272,7 @@ void Swarm::tick(double dt) {
           down.links.erase(uploader_id);
           continue;  // nothing useful on this link right now
         }
-        down.in_flight[link.piece] = true;
+        down.in_flight.set(link.piece);
         link.bytes = 0;
       }
 
@@ -295,7 +300,7 @@ void Swarm::tick(double dt) {
           link_gone = true;
           break;
         }
-        down.in_flight[piece] = true;
+        down.in_flight.set(piece);
       }
       if (!link_gone) {
         Link& lk = down.links.at(uploader_id);

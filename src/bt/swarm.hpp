@@ -22,6 +22,7 @@
 #include <map>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bt/bandwidth.hpp"
@@ -119,11 +120,12 @@ class Swarm {
     Bitfield have;
     bool active = false;
     bool completed = false;
-    std::vector<bool> in_flight;               // by piece index
+    Bitfield in_flight;                         // pieces on some link
     std::unordered_map<PeerId, Link> links;     // uploader -> progress
     std::unordered_map<PeerId, double> rx_window;  // recent bytes from peer
     std::unordered_map<PeerId, double> tx_window;  // recent bytes to peer
     Choker choker;
+    double down_budget = 0.0;  // bytes left to receive this round
     // Streaming playback state (inert unless streaming_.enabled).
     std::size_t play_pos = 0;   // next piece the player consumes
     bool playing = false;       // startup buffer filled, clock running
@@ -154,6 +156,11 @@ class Swarm {
   // std::map for deterministic iteration order (PeerId ascending).
   std::map<PeerId, Member> members_;
   std::size_t active_count_ = 0;
+  // Per-tick scratch, reused across ticks: the leecher roster (map nodes
+  // are stable, and nothing joins or leaves during a tick) and one
+  // uploader's interested candidates.
+  std::vector<std::pair<PeerId, Member*>> leechers_;
+  std::vector<ChokeCandidate> candidates_;
 };
 
 }  // namespace tribvote::bt

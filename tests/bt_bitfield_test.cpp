@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace tribvote::bt {
 namespace {
 
@@ -71,6 +73,44 @@ TEST(Bitfield, SetIsIdempotentForCount) {
   bf.set(3);
   bf.set(3);
   EXPECT_EQ(bf.count(), 1u);
+}
+
+// The cached count (and none/all, which read it) must equal a fresh
+// per-bit count after any mix of operations, including repeated sets and
+// resets of one bit; padding bits past size() must stay clear, since
+// word-wise masks rely on it.
+TEST(Bitfield, CachedCountMatchesFreshPopcount) {
+  util::Rng rng(5);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 700u}) {
+    Bitfield bf(n);
+    for (int step = 0; step < 4000; ++step) {
+      const std::size_t i = rng.next_below(n);
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 40) {
+        bf.set(i);
+      } else if (op < 80) {
+        bf.reset(i);
+      } else if (op < 90) {
+        bf.set(i);
+        bf.set(i);
+      } else if (op < 99) {
+        bf.reset(i);
+        bf.reset(i);
+      } else {
+        bf.set_all();
+      }
+      std::size_t fresh = 0;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (bf.test(b)) ++fresh;
+      }
+      ASSERT_EQ(bf.count(), fresh) << "n=" << n << " step " << step;
+      ASSERT_EQ(bf.none(), fresh == 0);
+      ASSERT_EQ(bf.all(), fresh == n);
+      if (n % 64 != 0) {
+        ASSERT_EQ(bf.words().back() >> (n % 64), 0u) << "padding bit set";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -104,7 +104,8 @@ TEST(PeerDirectory, OwnEntryNeverOverridden) {
 TEST(PeerDirectory, CapEvictsStalest) {
   PeerDirectoryConfig config;
   config.view_size = 2;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 30), 30);
   dir.merge(descriptor_for(3, keys_for(3), 10), 30);  // stalest
   dir.merge(descriptor_for(4, keys_for(4), 20), 30);
@@ -118,7 +119,8 @@ TEST(PeerDirectory, CapEvictsStalest) {
 TEST(PeerDirectory, TtlEvictsDeadEntriesButNeverSelf) {
   PeerDirectoryConfig config;
   config.entry_ttl = 100;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 0), 0);
   dir.merge(descriptor_for(3, keys_for(3), 80), 80);
   EXPECT_EQ(dir.evict_expired(150), 1u);  // only peer 2 aged out
@@ -131,7 +133,8 @@ TEST(PeerDirectory, TtlEvictsDeadEntriesButNeverSelf) {
 TEST(PeerDirectory, DialFailuresEvictAndSuccessResets) {
   PeerDirectoryConfig config;
   config.max_dial_failures = 3;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 10), 10);
 
   EXPECT_FALSE(dir.note_dial_failure(2));
@@ -152,7 +155,8 @@ TEST(PeerDirectory, DialFailuresEvictAndSuccessResets) {
 TEST(PeerDirectory, QuarantineHidesPeerFromEveryReadPath) {
   PeerDirectoryConfig config;
   config.max_dial_failures = 2;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 10), 10);
   dir.merge(descriptor_for(3, keys_for(3), 10), 10);
 
@@ -174,7 +178,8 @@ TEST(PeerDirectory, QuarantineHidesPeerFromEveryReadPath) {
 TEST(PeerDirectory, QuarantineLiftsOnlyForStrictlyFresherDescriptor) {
   PeerDirectoryConfig config;
   config.max_dial_failures = 1;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 10), 10);
   EXPECT_TRUE(dir.note_dial_failure(2, 20));
 
@@ -203,7 +208,8 @@ TEST(PeerDirectory, QuarantineTtlExpiresTheTombstone) {
   config.max_dial_failures = 1;
   config.quarantine_ttl = 100;
   config.entry_ttl = 1000000;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 10), 10);
   EXPECT_TRUE(dir.note_dial_failure(2, 50));
   EXPECT_EQ(dir.quarantined_count(), 1u);
@@ -223,7 +229,8 @@ TEST(PeerDirectory, CapEvictionSkipsQuarantinedTombstones) {
   PeerDirectoryConfig config;
   config.view_size = 2;
   config.max_dial_failures = 1;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 10), 10);
   dir.merge(descriptor_for(3, keys_for(3), 30), 30);
   EXPECT_TRUE(dir.note_dial_failure(2, 40));
@@ -245,7 +252,8 @@ TEST(PeerDirectory, CapEvictionSkipsQuarantinedTombstones) {
 TEST(PeerDirectory, ShuffleLeadsWithFreshSelfThenFreshestRemotes) {
   PeerDirectoryConfig config;
   config.shuffle_size = 3;
-  PeerDirectory dir = make_directory(1, keys_for(1), config);
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys, config);
   dir.merge(descriptor_for(2, keys_for(2), 5), 5);
   dir.merge(descriptor_for(3, keys_for(3), 50), 50);
   dir.merge(descriptor_for(4, keys_for(4), 20), 50);
@@ -262,7 +270,8 @@ TEST(PeerDirectory, ShuffleLeadsWithFreshSelfThenFreshestRemotes) {
 
 TEST(PeerDirectory, MergeExchangeDropsForgedItemWiseAndCountsProbe) {
   telemetry::Registry registry(1);
-  PeerDirectory dir = make_directory(1, keys_for(1));
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys);
   dir.set_exchange_probe(
       telemetry::Counter(&registry, registry.counter("pss.exchanges")));
 
@@ -312,7 +321,8 @@ TEST(PeerDirectory, SampleMatchesOracleAtFullMembership) {
 }
 
 TEST(PeerDirectory, SampleWithNobodyKnownReturnsInvalid) {
-  PeerDirectory dir = make_directory(1, keys_for(1));
+  const crypto::KeyPair self_keys = keys_for(1);
+  PeerDirectory dir = make_directory(1, self_keys);
   EXPECT_EQ(dir.sample(1), kInvalidPeer);  // only the self entry
 }
 

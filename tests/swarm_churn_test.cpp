@@ -76,7 +76,9 @@ TEST_P(SwarmChurnProperty, InvariantsUnderRandomChurn) {
     for (PeerId p = 0; p < kPeers; ++p) {
       if (swarm.is_active(p)) ++active;
       // Active implies member.
-      if (swarm.is_active(p)) ASSERT_TRUE(swarm.is_member(p));
+      if (swarm.is_active(p)) {
+        ASSERT_TRUE(swarm.is_member(p));
+      }
       // Progress is monotone for continuous members and within [0, 1].
       const double progress = swarm.progress(p);
       ASSERT_GE(progress, 0.0);
@@ -88,7 +90,9 @@ TEST_P(SwarmChurnProperty, InvariantsUnderRandomChurn) {
         }
         last_progress[p] = progress;
         // Completed members have full bitfields.
-        if (swarm.has_completed(p)) ASSERT_DOUBLE_EQ(progress, 1.0);
+        if (swarm.has_completed(p)) {
+          ASSERT_DOUBLE_EQ(progress, 1.0);
+        }
       } else {
         last_progress.erase(p);
       }

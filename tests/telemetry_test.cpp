@@ -224,7 +224,9 @@ TEST(ChromeTraceWriter, SortsByTidThenTsParentsFirst) {
   std::map<std::uint32_t, std::int64_t> last_ts;
   for (const auto& e : events) {
     const auto it = last_ts.find(e.tid);
-    if (it != last_ts.end()) EXPECT_GE(e.ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ts, it->second);
+    }
     last_ts[e.tid] = e.ts;
   }
 }
@@ -438,7 +440,9 @@ TEST(TelemetryRunner, RunnerTraceExportIsWellFormed) {
   bool saw_round = false;
   for (const auto& e : events) {
     const auto it = last_ts.find(e.tid);
-    if (it != last_ts.end()) EXPECT_GE(e.ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ts, it->second);
+    }
     last_ts[e.tid] = e.ts;
     if (e.name == "kernel.round") saw_round = true;
   }
