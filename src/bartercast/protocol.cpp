@@ -4,33 +4,58 @@
 
 namespace tribvote::bartercast {
 
+const std::vector<bt::TransferRecord>& BarterAgent::direct_view(
+    const bt::LedgerView& ledger, std::uint64_t version) const {
+  if (version != view_version_) {
+    view_cache_ = ledger.direct_view(self_);
+    view_version_ = version;
+  }
+  return view_cache_;
+}
+
 std::vector<BarterRecord> BarterAgent::outgoing_records(
     const bt::LedgerView& ledger, Time now) const {
-  if (ledger.version(self_) == reported_version_) return report_cache_;
-  reported_version_ = ledger.version(self_);
-  std::vector<bt::TransferRecord> direct = ledger.direct_view(self_);
-  // Largest transfers first — they carry the most flow information.
-  std::sort(direct.begin(), direct.end(),
-            [](const bt::TransferRecord& a, const bt::TransferRecord& b) {
-              if (a.mb != b.mb) return a.mb > b.mb;
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
-  if (direct.size() > config_.max_records_per_message) {
-    direct.resize(config_.max_records_per_message);
-  }
+  const std::uint64_t version = ledger.version(self_);
+  if (version == reported_version_) return report_cache_;
+  reported_version_ = version;
+  const std::vector<bt::TransferRecord>& view = direct_view(ledger, version);
+  // Largest transfers first — they carry the most flow information. The
+  // order is total (a view names each pair once), so the kept top records
+  // are exactly those of a full sort.
+  static thread_local std::vector<bt::TransferRecord> top;
+  top.resize(std::min(view.size(), config_.max_records_per_message));
+  std::partial_sort_copy(
+      view.begin(), view.end(), top.begin(), top.end(),
+      [](const bt::TransferRecord& a, const bt::TransferRecord& b) {
+        if (a.mb != b.mb) return a.mb > b.mb;
+        if (a.from != b.from) return a.from < b.from;
+        return a.to < b.to;
+      });
   report_cache_.clear();
-  report_cache_.reserve(direct.size());
-  for (const auto& r : direct) {
+  report_cache_.reserve(top.size());
+  for (const auto& r : top) {
     report_cache_.push_back(BarterRecord{r.from, r.to, r.mb, now});
   }
   return report_cache_;
 }
 
 void BarterAgent::sync_direct(const bt::LedgerView& ledger, Time now) {
-  if (ledger.version(self_) == synced_version_) return;
-  synced_version_ = ledger.version(self_);
-  for (const auto& r : ledger.direct_view(self_)) {
+  const std::uint64_t version = ledger.version(self_);
+  if (version == synced_version_) return;
+  // Direct edges change only here, so every record of the last synced view
+  // is still pinned in the graph with its volume: re-applying one is a
+  // no-op. A record equal to the one at the same position of that view is
+  // therefore skipped; any other goes through update_direct as before.
+  std::vector<bt::TransferRecord> synced;
+  if (view_version_ == synced_version_) synced = std::move(view_cache_);
+  synced_version_ = version;
+  const std::vector<bt::TransferRecord>& view = direct_view(ledger, version);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    const bt::TransferRecord& r = view[k];
+    if (k < synced.size() && synced[k].from == r.from &&
+        synced[k].to == r.to && synced[k].mb == r.mb) {
+      continue;
+    }
     graph_.update_direct(r.from, r.to, r.mb, now);
   }
 }

@@ -106,11 +106,18 @@ class BarterAgent {
 
  private:
   // Ledger-version caches: sync/report work is skipped while the agent's
-  // direct view is unchanged (the common case between transfers).
+  // direct view is unchanged (the common case between transfers). The view
+  // itself is fetched once per ledger version and shared by both.
   static constexpr std::uint64_t kNeverSynced = ~std::uint64_t{0};
   std::uint64_t synced_version_ = kNeverSynced;
   mutable std::uint64_t reported_version_ = kNeverSynced;
   mutable std::vector<BarterRecord> report_cache_;
+  mutable std::uint64_t view_version_ = kNeverSynced;
+  mutable std::vector<bt::TransferRecord> view_cache_;
+
+  /// The ledger's direct view of self at `version` (= ledger.version(self)).
+  const std::vector<bt::TransferRecord>& direct_view(
+      const bt::LedgerView& ledger, std::uint64_t version) const;
 
   // Contribution memoization, keyed on the subjective graph's version.
   struct CachedContribution {

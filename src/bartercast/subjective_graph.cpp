@@ -5,12 +5,53 @@
 
 namespace tribvote::bartercast {
 
+std::uint32_t CsrSnapshot::index_of(PeerId peer) const {
+  const auto it = std::ranges::lower_bound(peer_of, peer);
+  if (it == peer_of.end() || *it != peer) return kNoNode;
+  return static_cast<std::uint32_t>(it - peer_of.begin());
+}
+
 double CsrSnapshot::cap(std::uint32_t u, std::uint32_t v) const {
   const auto first = out_target.begin() + out_begin[u];
   const auto last = out_target.begin() + out_begin[u + 1];
   const auto it = std::lower_bound(first, last, v);
   if (it == last || *it != v) return 0.0;
   return out_cap[static_cast<std::size_t>(it - out_target.begin())];
+}
+
+std::vector<PeerId>::const_iterator SubjectiveGraph::find_id(
+    PeerId peer) const {
+  // Ids are distinct, so a peer's row is at most its id; once every smaller
+  // id has a row (the steady state of a dense population) it is exactly it.
+  if (peer < ids_.size() && ids_[peer] == peer) return ids_.begin() + peer;
+  const auto last =
+      peer < ids_.size() ? ids_.begin() + peer + 1 : ids_.end();
+  return std::lower_bound(ids_.begin(), last, peer);
+}
+
+std::uint32_t SubjectiveGraph::row_of(PeerId peer) const {
+  const auto it = find_id(peer);
+  if (it == ids_.end() || *it != peer) return kNoRow;
+  return static_cast<std::uint32_t>(it - ids_.begin());
+}
+
+std::uint32_t SubjectiveGraph::ensure_row(PeerId peer) {
+  const auto it = find_id(peer);
+  const auto r = static_cast<std::uint32_t>(it - ids_.begin());
+  if (it == ids_.end() || *it != peer) {
+    ids_.insert(it, peer);
+    rows_.insert(rows_.begin() + r, Row{});
+  }
+  return r;
+}
+
+const SubjectiveGraph::OutEdge* SubjectiveGraph::find_edge(PeerId from,
+                                                           PeerId to) const {
+  const std::uint32_t r = row_of(from);
+  if (r == kNoRow) return nullptr;
+  const auto& out = rows_[r].out;
+  const auto it = std::ranges::lower_bound(out, to, {}, &OutEdge::to);
+  return it == out.end() || it->to != to ? nullptr : &*it;
 }
 
 void SubjectiveGraph::record_delta(PeerId from, PeerId to) {
@@ -24,11 +65,28 @@ void SubjectiveGraph::record_delta(PeerId from, PeerId to) {
   delta_log_.push_back(EdgeDelta{from, to});
 }
 
-void SubjectiveGraph::put(PeerId from, PeerId to, const EdgeInfo& info) {
-  const auto [it, inserted] = out_[from].insert_or_assign(to, info);
-  const bool mb_changed = inserted || in_[to][from].mb != info.mb;
-  in_[to].insert_or_assign(from, info);
-  if (inserted) ++n_edges_;
+void SubjectiveGraph::put(PeerId from, PeerId to, double mb,
+                          Time reported_at, bool direct) {
+  // Both rows exist before either is looked up for use: inserting a row
+  // shifts the indices of the rows above it.
+  ensure_row(from);
+  const std::uint32_t rt = ensure_row(to);
+  const std::uint32_t rf = row_of(from);
+  std::vector<OutEdge>& out = rows_[rf].out;
+  std::vector<InEdge>& in = rows_[rt].in;
+  const auto it = std::ranges::lower_bound(out, to, {}, &OutEdge::to);
+  bool mb_changed = true;
+  if (it != out.end() && it->to == to) {
+    mb_changed = it->mb != mb;
+    *it = OutEdge{to, direct, mb, reported_at};
+    std::ranges::lower_bound(in, from, {}, &InEdge::from)->mb = mb;
+  } else {
+    if (out.empty()) ++n_sources_;
+    out.insert(it, OutEdge{to, direct, mb, reported_at});
+    in.insert(std::ranges::lower_bound(in, from, {}, &InEdge::from),
+              InEdge{from, mb});
+    ++n_edges_;
+  }
   // Version tracks flow-relevant changes only: a re-pin or timestamp update
   // that leaves mb intact cannot change any max-flow answer.
   if (mb_changed) record_delta(from, to);
@@ -38,50 +96,42 @@ void SubjectiveGraph::update_direct(PeerId from, PeerId to, double mb,
                                     Time now) {
   assert(from != to);
   assert(mb >= 0);
-  auto& row = out_[from];
-  const auto it = row.find(to);
-  if (it != row.end() && it->second.direct && it->second.mb == mb) {
+  const OutEdge* e = find_edge(from, to);
+  if (e != nullptr && e->direct && e->mb == mb) {
     return;  // unchanged — skip the mirrored write entirely
   }
-  put(from, to, EdgeInfo{mb, now, true});
+  put(from, to, mb, now, true);
 }
 
 void SubjectiveGraph::merge_gossip(const BarterRecord& record) {
   if (record.from == record.to || record.mb < 0) return;  // malformed
-  const auto row = out_.find(record.from);
-  if (row != out_.end()) {
-    const auto it = row->second.find(record.to);
-    if (it != row->second.end()) {
-      if (it->second.direct) return;  // own observation is authoritative
-      if (it->second.reported_at >= record.reported_at) return;  // stale
-      if (it->second.mb == record.mb) {
-        // Same value, fresher report: refresh the timestamp in place (the
-        // mirrored in_ copy's timestamp is never read, and the flow value
-        // is untouched so the version stays put).
-        it->second.reported_at = record.reported_at;
-        return;
-      }
+  if (const OutEdge* e = find_edge(record.from, record.to)) {
+    if (e->direct) return;  // own observation is authoritative
+    if (e->reported_at >= record.reported_at) return;  // stale
+    if (e->mb == record.mb) {
+      // Same value, fresher report: refresh the timestamp in place (the
+      // mirrored in-edge carries no timestamp, and the flow value is
+      // untouched so the version stays put).
+      const_cast<OutEdge*>(e)->reported_at = record.reported_at;
+      return;
     }
   }
-  put(record.from, record.to,
-      EdgeInfo{record.mb, record.reported_at, false});
+  put(record.from, record.to, record.mb, record.reported_at, false);
 }
 
 double SubjectiveGraph::edge_mb(PeerId from, PeerId to) const {
-  const auto row = out_.find(from);
-  if (row == out_.end()) return 0.0;
-  const auto it = row->second.find(to);
-  return it == row->second.end() ? 0.0 : it->second.mb;
+  const OutEdge* e = find_edge(from, to);
+  return e == nullptr ? 0.0 : e->mb;
 }
 
 std::vector<std::pair<PeerId, double>> SubjectiveGraph::out_edges(
     PeerId from) const {
   std::vector<std::pair<PeerId, double>> edges;
-  const auto row = out_.find(from);
-  if (row == out_.end()) return edges;
-  edges.reserve(row->second.size());
-  for (const auto& [to, info] : row->second) {
-    if (info.mb > 0) edges.emplace_back(to, info.mb);
+  const std::uint32_t r = row_of(from);
+  if (r == kNoRow) return edges;
+  edges.reserve(rows_[r].out.size());
+  for (const OutEdge& e : rows_[r].out) {
+    if (e.mb > 0) edges.emplace_back(e.to, e.mb);
   }
   return edges;
 }
@@ -89,20 +139,20 @@ std::vector<std::pair<PeerId, double>> SubjectiveGraph::out_edges(
 std::vector<std::pair<PeerId, double>> SubjectiveGraph::in_edges(
     PeerId to) const {
   std::vector<std::pair<PeerId, double>> edges;
-  const auto row = in_.find(to);
-  if (row == in_.end()) return edges;
-  edges.reserve(row->second.size());
-  for (const auto& [from, info] : row->second) {
-    if (info.mb > 0) edges.emplace_back(from, info.mb);
+  const std::uint32_t r = row_of(to);
+  if (r == kNoRow) return edges;
+  edges.reserve(rows_[r].in.size());
+  for (const InEdge& e : rows_[r].in) {
+    if (e.mb > 0) edges.emplace_back(e.from, e.mb);
   }
   return edges;
 }
 
 double SubjectiveGraph::claimed_upload_mb(PeerId peer) const {
+  const std::uint32_t r = row_of(peer);
+  if (r == kNoRow) return 0.0;
   double total = 0;
-  const auto row = out_.find(peer);
-  if (row == out_.end()) return 0.0;
-  for (const auto& [to, info] : row->second) total += info.mb;
+  for (const OutEdge& e : rows_[r].out) total += e.mb;
   return total;
 }
 
@@ -124,25 +174,28 @@ double SubjectiveGraph::two_hop_flow(PeerId source, PeerId sink,
                                      int max_path_edges) const {
   if (source == sink || max_path_edges <= 0) return 0.0;
   double flow = edge_mb(source, sink);
-  if (max_path_edges >= 2) {
-    const auto out_row = out_.find(source);
-    const auto in_row = in_.find(sink);
-    if (out_row != out_.end() && in_row != in_.end()) {
-      // Gather the two-hop terms, then sum in ascending-k order so the
-      // accumulation order matches the CSR column pass bit-for-bit. The
-      // scratch buffer is thread_local: no steady-state allocation, and
-      // pool workers each get their own.
-      static thread_local std::vector<std::pair<PeerId, double>> terms;
-      terms.clear();
-      const auto& into_sink = in_row->second;
-      for (const auto& [k, info] : out_row->second) {
-        if (k == sink || k == source || info.mb <= 0) continue;
-        const auto cap_it = into_sink.find(k);
-        if (cap_it == into_sink.end() || cap_it->second.mb <= 0) continue;
-        terms.emplace_back(k, std::min(info.mb, cap_it->second.mb));
+  if (max_path_edges < 2) return flow;
+  const std::uint32_t rs = row_of(source);
+  const std::uint32_t rt = row_of(sink);
+  if (rs == kNoRow || rt == kNoRow) return flow;
+  // Both rows are sorted by the mid-hop id k, so one merge visits every
+  // common k in ascending order — the order the column pass sums in.
+  const std::vector<OutEdge>& out = rows_[rs].out;
+  const std::vector<InEdge>& in = rows_[rt].in;
+  auto a = out.begin();
+  auto b = in.begin();
+  while (a != out.end() && b != in.end()) {
+    if (a->to < b->from) {
+      ++a;
+    } else if (b->from < a->to) {
+      ++b;
+    } else {
+      const PeerId k = a->to;
+      if (k != sink && k != source && a->mb > 0 && b->mb > 0) {
+        flow += std::min(a->mb, b->mb);
       }
-      std::sort(terms.begin(), terms.end());
-      for (const auto& term : terms) flow += term.second;
+      ++a;
+      ++b;
     }
   }
   return flow;
@@ -151,30 +204,25 @@ double SubjectiveGraph::two_hop_flow(PeerId source, PeerId sink,
 void SubjectiveGraph::two_hop_flow_column(PeerId sink, int max_path_edges,
                                           std::vector<double>& column) const {
   if (max_path_edges <= 0) return;
-  const auto in_row = in_.find(sink);
-  if (in_row == in_.end()) return;
+  const std::uint32_t rt = row_of(sink);
+  if (rt == kNoRow) return;
   const std::size_t population = column.size();
-  // Direct terms: each source receives exactly one, so hash order is fine
-  // (the term is the first addition to a zeroed entry either way).
-  for (const auto& [j, info] : in_row->second) {
-    if (info.mb > 0 && j < population) column[j] += info.mb;
+  const std::vector<InEdge>& into_sink = rows_[rt].in;
+  // Direct terms: each source receives exactly one, and it is the first
+  // addition to its zeroed entry.
+  for (const InEdge& e : into_sink) {
+    if (e.mb > 0 && e.from < population) column[e.from] += e.mb;
   }
   if (max_path_edges >= 2) {
-    // Mid-hop nodes sorted ascending so every source's terms accumulate in
-    // the same order two_hop_flow sums them. Within one mid-hop row each
-    // source appears at most once, so the inner hash order is irrelevant.
-    static thread_local std::vector<std::pair<PeerId, double>> mids;
-    mids.clear();
-    for (const auto& [k, info] : in_row->second) {
-      if (info.mb > 0 && k != sink) mids.emplace_back(k, info.mb);
-    }
-    std::sort(mids.begin(), mids.end());
-    for (const auto& [k, cap_in] : mids) {
-      const auto k_row = in_.find(k);
-      if (k_row == in_.end()) continue;
-      for (const auto& [j, info] : k_row->second) {
-        if (j == sink || info.mb <= 0 || j >= population) continue;
-        column[j] += std::min(info.mb, cap_in);
+    // The in-row is sorted by the mid-hop id k, so every source's terms
+    // accumulate in the same ascending-k order two_hop_flow sums them.
+    // Within one mid-hop row each source appears at most once.
+    for (const InEdge& mid : into_sink) {
+      const PeerId k = mid.from;
+      if (mid.mb <= 0 || k == sink) continue;
+      for (const InEdge& e : rows_[row_of(k)].in) {
+        if (e.from == sink || e.mb <= 0 || e.from >= population) continue;
+        column[e.from] += std::min(e.mb, mid.mb);
       }
     }
   }
@@ -204,74 +252,32 @@ const CsrSnapshot& SubjectiveGraph::csr() const {
 }
 
 void SubjectiveGraph::build_csr() const {
+  // Rows are already in PeerId order, so a row's index is its dense index,
+  // and each row's edges come out sorted by neighbour index: the arrays
+  // fill in order with no sort pass.
   CsrSnapshot& snap = csr_;
-  snap.peer_of.clear();
-  snap.index_of_.clear();
-  snap.peer_of.reserve(out_.size() + in_.size());
-  for (const auto& [p, row] : out_) snap.peer_of.push_back(p);
-  for (const auto& [p, row] : in_) {
-    if (!out_.contains(p)) snap.peer_of.push_back(p);
-  }
-  std::sort(snap.peer_of.begin(), snap.peer_of.end());
-  const auto n = static_cast<std::uint32_t>(snap.peer_of.size());
-  snap.index_of_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) snap.index_of_[snap.peer_of[i]] = i;
-
-  // Counting pass (positive-capacity arcs only), then fill.
+  snap.peer_of = ids_;
+  const auto n = static_cast<std::uint32_t>(ids_.size());
   snap.out_begin.assign(n + 1, 0);
   snap.in_begin.assign(n + 1, 0);
-  std::size_t n_arcs = 0;
-  for (const auto& [from, row] : out_) {
-    const std::uint32_t u = snap.index_of_.at(from);
-    for (const auto& [to, info] : row) {
-      if (info.mb <= 0) continue;
-      ++snap.out_begin[u + 1];
-      ++snap.in_begin[snap.index_of_.at(to) + 1];
-      ++n_arcs;
+  snap.out_target.clear();
+  snap.out_cap.clear();
+  snap.in_source.clear();
+  snap.in_cap.clear();
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (const OutEdge& e : rows_[u].out) {
+      if (e.mb <= 0) continue;
+      snap.out_target.push_back(row_of(e.to));
+      snap.out_cap.push_back(e.mb);
     }
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    snap.out_begin[i + 1] += snap.out_begin[i];
-    snap.in_begin[i + 1] += snap.in_begin[i];
-  }
-  snap.out_target.assign(n_arcs, 0);
-  snap.out_cap.assign(n_arcs, 0.0);
-  snap.in_source.assign(n_arcs, 0);
-  snap.in_cap.assign(n_arcs, 0.0);
-  std::vector<std::uint32_t> out_fill(snap.out_begin.begin(),
-                                      snap.out_begin.end() - 1);
-  std::vector<std::uint32_t> in_fill(snap.in_begin.begin(),
-                                     snap.in_begin.end() - 1);
-  for (const auto& [from, row] : out_) {
-    const std::uint32_t u = snap.index_of_.at(from);
-    for (const auto& [to, info] : row) {
-      if (info.mb <= 0) continue;
-      const std::uint32_t v = snap.index_of_.at(to);
-      snap.out_target[out_fill[u]] = v;
-      snap.out_cap[out_fill[u]++] = info.mb;
-      snap.in_source[in_fill[v]] = u;
-      snap.in_cap[in_fill[v]++] = info.mb;
+    for (const InEdge& e : rows_[u].in) {
+      if (e.mb <= 0) continue;
+      snap.in_source.push_back(row_of(e.from));
+      snap.in_cap.push_back(e.mb);
     }
+    snap.out_begin[u + 1] = static_cast<std::uint32_t>(snap.out_target.size());
+    snap.in_begin[u + 1] = static_cast<std::uint32_t>(snap.in_source.size());
   }
-  // Sort each row by neighbor index: deterministic iteration (and summation)
-  // order plus binary-searchable lookups.
-  auto sort_rows = [n](std::vector<std::uint32_t>& begin_idx,
-                       std::vector<std::uint32_t>& nbr,
-                       std::vector<double>& cap) {
-    std::vector<std::pair<std::uint32_t, double>> row;
-    for (std::uint32_t u = 0; u < n; ++u) {
-      const std::size_t lo = begin_idx[u], hi = begin_idx[u + 1];
-      row.clear();
-      for (std::size_t a = lo; a < hi; ++a) row.emplace_back(nbr[a], cap[a]);
-      std::sort(row.begin(), row.end());
-      for (std::size_t a = lo; a < hi; ++a) {
-        nbr[a] = row[a - lo].first;
-        cap[a] = row[a - lo].second;
-      }
-    }
-  };
-  sort_rows(snap.out_begin, snap.out_target, snap.out_cap);
-  sort_rows(snap.in_begin, snap.in_source, snap.in_cap);
   snap.built_version = version_;
 }
 

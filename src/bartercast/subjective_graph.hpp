@@ -13,10 +13,16 @@
 // Consumers key caches on it (BarterAgent's contribution cache, the CSR
 // snapshot below) and use the bounded delta log to revalidate stale entries
 // without recomputing (`deltas_since`).
+//
+// Storage is flat: one row per peer that appears in any edge, rows sorted by
+// peer id, and within a row the out-edges sorted by target and the mirrored
+// in-edges sorted by source. Every lookup is a binary search, every
+// iteration runs in ascending id order (so summation order is fixed without
+// a sort), and memory is O(nodes + edges) whatever ids a record names.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -45,7 +51,6 @@ struct CsrSnapshot {
 
   std::uint64_t built_version = ~std::uint64_t{0};
   std::vector<PeerId> peer_of;  ///< dense index -> PeerId (ascending)
-  std::unordered_map<PeerId, std::uint32_t> index_of_;
   // Out-adjacency: arcs of node u live in [out_begin[u], out_begin[u+1]).
   std::vector<std::uint32_t> out_begin;
   std::vector<std::uint32_t> out_target;
@@ -59,10 +64,8 @@ struct CsrSnapshot {
     return peer_of.size();
   }
   /// Dense index of `peer`, or kNoNode when absent from the snapshot.
-  [[nodiscard]] std::uint32_t index_of(PeerId peer) const {
-    const auto it = index_of_.find(peer);
-    return it == index_of_.end() ? kNoNode : it->second;
-  }
+  /// O(log nodes).
+  [[nodiscard]] std::uint32_t index_of(PeerId peer) const;
   /// Capacity of arc u -> v (dense indices); 0 when absent. O(log deg(u)).
   [[nodiscard]] double cap(std::uint32_t u, std::uint32_t v) const;
 };
@@ -94,8 +97,9 @@ class SubjectiveGraph {
   [[nodiscard]] double claimed_upload_mb(PeerId peer) const;
 
   [[nodiscard]] std::size_t edge_count() const noexcept { return n_edges_; }
+  /// Peers with at least one out-edge (the sources of the graph).
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return out_.size();
+    return n_sources_;
   }
 
   /// Monotone counter of flow-relevant mutations (see file comment).
@@ -114,14 +118,15 @@ class SubjectiveGraph {
                                         PeerId source, PeerId sink) const;
 
   /// Closed-form hop-bounded max flow for `max_path_edges` ≤ 2, computed
-  /// straight off the hash adjacency: cap(source→sink) plus, when two-hop
-  /// paths are admitted, Σ_k min(cap(source→k), cap(k→sink)). Every
-  /// admissible path is edge-disjoint from the others at this bound, so the
-  /// sum IS the max flow. Two-hop terms are accumulated in ascending-k
-  /// order — the same order the CSR-based column pass uses — so the result
-  /// is bit-identical across the per-query and batched code paths. Does NOT
-  /// touch the CSR snapshot: single queries against a mutating graph stay
-  /// O(deg) instead of paying an O(E) snapshot rebuild.
+  /// straight off the rows: cap(source→sink) plus, when two-hop paths are
+  /// admitted, Σ_k min(cap(source→k), cap(k→sink)). Every admissible path
+  /// is edge-disjoint from the others at this bound, so the sum IS the max
+  /// flow. The two-hop terms come from one sorted merge of out(source) with
+  /// in(sink), so they accumulate in ascending-k order — the same order the
+  /// column pass uses — and the result is bit-identical across the
+  /// per-query and batched code paths. Does NOT touch the CSR snapshot:
+  /// single queries against a mutating graph stay O(deg) instead of paying
+  /// an O(E) snapshot rebuild.
   [[nodiscard]] double two_hop_flow(PeerId source, PeerId sink,
                                     int max_path_edges) const;
 
@@ -131,7 +136,8 @@ class SubjectiveGraph {
   /// The caller supplies a zeroed column. Entries are bit-identical to
   /// two_hop_flow: per source the direct term lands first and the two-hop
   /// terms accumulate in ascending-k order (only the outer mid-hop order
-  /// matters — each mid-hop node contributes at most one term per source).
+  /// matters — each mid-hop node contributes at most one term per source),
+  /// which is the in-row's own order.
   void two_hop_flow_column(PeerId sink, int max_path_edges,
                            std::vector<double>& column) const;
 
@@ -151,11 +157,23 @@ class SubjectiveGraph {
   [[nodiscard]] const CsrSnapshot& csr() const;
 
  private:
-  struct EdgeInfo {
-    double mb = 0;
-    Time reported_at = 0;
-    bool direct = false;
+  /// Out-edge `owner → to` as stored in the owner's row.
+  struct OutEdge {
+    PeerId to;
+    bool direct;  ///< pinned by the owner's own observation
+    double mb;
+    Time reported_at;
   };
+  /// Mirror of an out-edge `from → owner`; only the weight is ever read.
+  struct InEdge {
+    PeerId from;
+    double mb;
+  };
+  struct Row {
+    std::vector<OutEdge> out;  ///< ascending `to`
+    std::vector<InEdge> in;    ///< ascending `from`
+  };
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
 
   /// One flow-relevant mutation, for cache revalidation.
   struct EdgeDelta {
@@ -167,11 +185,13 @@ class SubjectiveGraph {
   /// (25 records) plus a direct-view sync fits several times over.
   static constexpr std::size_t kDeltaLogCapacity = 256;
 
-  // out_[a][b] mirrors in_[b][a]; both kept for fast max-flow neighborhood
-  // expansion in either direction.
-  std::unordered_map<PeerId, std::unordered_map<PeerId, EdgeInfo>> out_;
-  std::unordered_map<PeerId, std::unordered_map<PeerId, EdgeInfo>> in_;
+  // rows_[r] belongs to peer ids_[r]; ids_ ascending. A peer gets a row the
+  // first time an edge names it, so the row index doubles as the peer's
+  // dense CSR index.
+  std::vector<PeerId> ids_;
+  std::vector<Row> rows_;
   std::size_t n_edges_ = 0;
+  std::size_t n_sources_ = 0;
 
   std::uint64_t version_ = 0;
   // delta_log_[k] is the mutation that moved the graph from version
@@ -181,7 +201,16 @@ class SubjectiveGraph {
 
   mutable CsrSnapshot csr_;
 
-  void put(PeerId from, PeerId to, const EdgeInfo& info);
+  /// First id >= `peer` in ids_. O(1) on a dense prefix, else O(log nodes).
+  [[nodiscard]] std::vector<PeerId>::const_iterator find_id(PeerId peer) const;
+  /// Row of `peer`, or kNoRow.
+  [[nodiscard]] std::uint32_t row_of(PeerId peer) const;
+  /// Row of `peer`, inserted (empty) when absent. Invalidates references
+  /// into rows_.
+  std::uint32_t ensure_row(PeerId peer);
+  /// The edge from → to in `from`'s out-row, or nullptr.
+  [[nodiscard]] const OutEdge* find_edge(PeerId from, PeerId to) const;
+  void put(PeerId from, PeerId to, double mb, Time reported_at, bool direct);
   void record_delta(PeerId from, PeerId to);
   void build_csr() const;
 };

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -35,9 +36,10 @@ class Choker {
 
   /// Select the unchoke set for this round from `candidates` (order
   /// irrelevant). Returns peer ids; size ≤ regular_slots + optimistic_slots.
-  /// Call exactly once per unchoke round.
-  [[nodiscard]] std::vector<PeerId> select(
-      std::vector<ChokeCandidate> candidates, util::Rng& rng);
+  /// The span views this choker's own buffer and stays valid until the next
+  /// call. Call exactly once per unchoke round.
+  [[nodiscard]] std::span<const PeerId> select(
+      std::span<const ChokeCandidate> candidates, util::Rng& rng);
 
   [[nodiscard]] const ChokerConfig& config() const noexcept { return config_; }
 
@@ -45,6 +47,7 @@ class Choker {
   ChokerConfig config_;
   PeerId optimistic_target_ = kInvalidPeer;
   std::uint32_t rounds_since_rotation_ = 0;
+  std::vector<PeerId> unchoked_;
 };
 
 }  // namespace tribvote::bt

@@ -251,7 +251,7 @@ void Swarm::tick(double dt) {
     }
     if (candidates_.empty()) continue;
 
-    const std::vector<PeerId> unchoked =
+    const std::span<const PeerId> unchoked =
         uploader.choker.select(candidates_, rng_);
     if (unchoked.empty()) continue;
 

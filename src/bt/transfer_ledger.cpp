@@ -1,12 +1,23 @@
 #include "bt/transfer_ledger.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tribvote::bt {
 
 namespace {
+
 constexpr double kBytesPerMb = 1024.0 * 1024.0;
+
+/// Bytes slot of `peer` in a sorted row, inserted as 0 when absent.
+double& slot(std::vector<std::pair<PeerId, double>>& row, PeerId peer) {
+  auto it = std::ranges::lower_bound(
+      row, peer, {}, &std::pair<PeerId, double>::first);
+  if (it == row.end() || it->first != peer) it = row.emplace(it, peer, 0.0);
+  return it->second;
 }
+
+}  // namespace
 
 MapLedger::MapLedger(std::size_t n_peers)
     : n_(n_peers),
@@ -19,8 +30,8 @@ MapLedger::MapLedger(std::size_t n_peers)
 void MapLedger::add_transfer(PeerId from, PeerId to, double bytes) {
   assert(from < n_ && to < n_ && from != to);
   assert(bytes >= 0);
-  up_bytes_[from][to] += bytes;
-  down_bytes_[to][from] += bytes;
+  slot(up_bytes_[from], to) += bytes;
+  slot(down_bytes_[to], from) += bytes;
   total_up_[from] += bytes;
   total_down_[to] += bytes;
   ++version_[from];
@@ -29,9 +40,10 @@ void MapLedger::add_transfer(PeerId from, PeerId to, double bytes) {
 
 double MapLedger::uploaded_mb(PeerId from, PeerId to) const {
   assert(from < n_ && to < n_);
-  const auto& row = up_bytes_[from];
-  const auto it = row.find(to);
-  return it == row.end() ? 0.0 : it->second / kBytesPerMb;
+  const Row& row = up_bytes_[from];
+  const auto it =
+      std::ranges::lower_bound(row, to, {}, &Row::value_type::first);
+  return it == row.end() || it->first != to ? 0.0 : it->second / kBytesPerMb;
 }
 
 double MapLedger::total_uploaded_mb(PeerId peer) const {
@@ -47,6 +59,7 @@ double MapLedger::total_downloaded_mb(PeerId peer) const {
 std::vector<TransferRecord> MapLedger::direct_view(PeerId p) const {
   assert(p < n_);
   std::vector<TransferRecord> records;
+  records.reserve(up_bytes_[p].size() + down_bytes_[p].size());
   for (const auto& [to, bytes] : up_bytes_[p]) {
     records.push_back(TransferRecord{p, to, bytes / kBytesPerMb});
   }

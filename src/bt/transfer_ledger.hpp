@@ -1,13 +1,15 @@
 // Dense pair-map ledger backend (the default; see bt/ledger.hpp for the API).
 //
-// Sparse row storage: row[from] maps to -> bytes, mirrored by an incoming
-// index so a peer's direct view is O(degree). Right-sized for the paper's
-// 100–1000-peer populations with tens of counterparts each; at millions of
-// peers prefer ShardedLogLedger (sharded_log_ledger.hpp).
+// Sparse row storage: per peer, a vector of (counterpart, bytes) pairs sorted
+// by counterpart for uploads, mirrored by one for downloads, so a pair lookup
+// is a binary search and a peer's direct view is O(degree), emitted in
+// ascending counterpart order. Right-sized for the paper's 100–1000-peer
+// populations with tens of counterparts each; at millions of peers prefer
+// ShardedLogLedger (sharded_log_ledger.hpp).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bt/ledger.hpp"
@@ -35,9 +37,12 @@ class MapLedger final : public Ledger {
   }
 
  private:
+  /// (counterpart, bytes) pairs, ascending counterpart.
+  using Row = std::vector<std::pair<PeerId, double>>;
+
   std::size_t n_;
-  std::vector<std::unordered_map<PeerId, double>> up_bytes_;
-  std::vector<std::unordered_map<PeerId, double>> down_bytes_;
+  std::vector<Row> up_bytes_;
+  std::vector<Row> down_bytes_;
   std::vector<double> total_up_;
   std::vector<double> total_down_;
   std::vector<std::uint64_t> version_;

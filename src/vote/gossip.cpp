@@ -121,32 +121,52 @@ void damage_delta(VoteDeltaMessage& delta, WireFault fault,
   }
 }
 
+std::vector<CounterpartMemory::IndexEntry>::const_iterator
+CounterpartMemory::find(PeerId peer) const {
+  return std::ranges::lower_bound(index_, peer, {}, &IndexEntry::first);
+}
+
+void CounterpartMemory::unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  (s.older == kNone ? oldest_ : slots_[s.older].newer) = s.newer;
+  (s.newer == kNone ? newest_ : slots_[s.newer].older) = s.older;
+}
+
+void CounterpartMemory::link_newest(std::uint32_t slot) {
+  slots_[slot].older = newest_;
+  slots_[slot].newer = kNone;
+  (newest_ == kNone ? oldest_ : slots_[newest_].newer) = slot;
+  newest_ = slot;
+}
+
 void CounterpartMemory::note(PeerId peer) {
   if (capacity_ == 0) return;
-  const auto it = peers_.find(peer);
-  if (it != peers_.end()) {
-    it->second = next_stamp_++;
-    return;
+  const auto it = find(peer);
+  std::uint32_t slot;
+  if (it != index_.end() && it->first == peer) {
+    slot = it->second;
+    unlink(slot);
+  } else if (index_.size() < capacity_) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{peer, kNone, kNone, 0});
+    index_.insert(it, IndexEntry{peer, slot});
+  } else {
+    // Evict the least recently exchanged counterpart; the newcomer takes
+    // over its slot.
+    slot = oldest_;
+    unlink(slot);
+    index_.erase(find(slots_[slot].peer));
+    index_.insert(find(peer), IndexEntry{peer, slot});
+    slots_[slot].peer = peer;
   }
-  if (peers_.size() >= capacity_) {
-    // Evict the least recently exchanged counterpart. Stamps are unique,
-    // so the victim is well-defined regardless of hash-map iteration order.
-    auto victim = peers_.begin();
-    for (auto p = peers_.begin(); p != peers_.end(); ++p) {
-      if (p->second < victim->second) victim = p;
-    }
-    peers_.erase(victim);
-  }
-  peers_.emplace(peer, next_stamp_++);
+  slots_[slot].stamp = next_stamp_++;
+  link_newest(slot);
 }
 
 std::uint64_t CounterpartMemory::digest() const {
-  std::vector<std::pair<PeerId, std::uint64_t>> items(peers_.begin(),
-                                                      peers_.end());
-  std::sort(items.begin(), items.end());
-  std::uint64_t h = util::digest_fields({capacity_, next_stamp_, items.size()});
-  for (const auto& [peer, stamp] : items) {
-    h = util::hash_combine(h, util::digest_fields({peer, stamp}));
+  std::uint64_t h = util::digest_fields({capacity_, next_stamp_, index_.size()});
+  for (const auto& [peer, slot] : index_) {
+    h = util::hash_combine(h, util::digest_fields({peer, slots_[slot].stamp}));
   }
   return h;
 }

@@ -26,7 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
@@ -121,6 +121,11 @@ void damage_delta(VoteDeltaMessage& delta, WireFault fault,
 /// the precondition for opening with a digest instead of a full message.
 /// Eviction is deterministic: stamps are unique and strictly increasing, so
 /// "least recently exchanged" has a single well-defined victim.
+///
+/// Each remembered peer owns a slot; the slots are linked oldest to newest
+/// by index, so the victim is the oldest slot and a refresh relinks one slot
+/// — eviction needs no scan. Membership is a binary search in an index
+/// sorted by peer id. Two flat arrays, no per-peer allocation.
 class CounterpartMemory {
  public:
   explicit CounterpartMemory(std::size_t capacity) : capacity_(capacity) {}
@@ -130,20 +135,39 @@ class CounterpartMemory {
 
   /// True if `peer` is in memory — the sender may open with a digest.
   [[nodiscard]] bool known(PeerId peer) const {
-    return peers_.find(peer) != peers_.end();
+    const auto it = find(peer);
+    return it != index_.end() && it->first == peer;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return peers_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Fingerprint of the full memory (peers + recency stamps), independent
-  /// of hash-map iteration order (transport-equivalence tests).
+  /// Fingerprint of the full memory (peers + recency stamps), in ascending
+  /// peer order (transport-equivalence tests).
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Slot {
+    PeerId peer;
+    std::uint32_t older;  ///< next older slot, or kNone
+    std::uint32_t newer;  ///< next newer slot, or kNone
+    std::uint64_t stamp;  ///< last exchange
+  };
+  using IndexEntry = std::pair<PeerId, std::uint32_t>;  // (peer, slot)
+
+  /// First index entry with peer id >= `peer`.
+  [[nodiscard]] std::vector<IndexEntry>::const_iterator find(
+      PeerId peer) const;
+  void unlink(std::uint32_t slot);
+  void link_newest(std::uint32_t slot);
+
   std::size_t capacity_;
   std::uint64_t next_stamp_ = 0;
-  std::unordered_map<PeerId, std::uint64_t> peers_;  // peer → last stamp
+  std::vector<Slot> slots_;
+  std::uint32_t oldest_ = kNone;  // the eviction victim
+  std::uint32_t newest_ = kNone;
+  std::vector<IndexEntry> index_;  // ascending peer
 };
 
 }  // namespace tribvote::vote

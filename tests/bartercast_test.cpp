@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
+#include <set>
+#include <unordered_map>
+
 #include "attack/front_peer.hpp"
 #include "bartercast/experience.hpp"
 #include "bartercast/maxflow.hpp"
@@ -215,6 +221,18 @@ TEST_F(BarterAgentTest, SyncIsIncrementalButComplete) {
   EXPECT_NEAR(agent.contribution_of(1), 7.0, 1e-9);
 }
 
+TEST_F(BarterAgentTest, SyncAfterAnUnsyncedReportAppliesTheWholeView) {
+  // A report fetches the view without syncing it, so the next sync may not
+  // skip the records that view already held.
+  ledger_.add_transfer(1, 0, 3.0 * 1024 * 1024);
+  BarterAgent agent(0, BarterConfig{});
+  EXPECT_EQ(agent.outgoing_records(ledger_, 1).size(), 1u);
+  ledger_.add_transfer(2, 0, 5.0 * 1024 * 1024);
+  agent.sync_direct(ledger_, 2);
+  EXPECT_DOUBLE_EQ(agent.graph().edge_mb(1, 0), 3.0);
+  EXPECT_DOUBLE_EQ(agent.graph().edge_mb(2, 0), 5.0);
+}
+
 TEST(ExperienceFunction, ThresholdSemantics) {
   bt::TransferLedger ledger(3);
   BarterAgent agent(0, BarterConfig{});
@@ -405,5 +423,320 @@ TEST(FrontPeerAttack, MaxFlowResistsWhereNaiveFails) {
   EXPECT_LE(honest.contribution_of(3), 1.0 + 1e-9);
 }
 
+// ---- differential check against a nested-map reference -------------------
+//
+// NestedMapGraph is the map-of-maps SubjectiveGraph the flat rows replaced,
+// kept here only as an executable specification: same merge rules, same
+// version and delta-log semantics, sorted two-hop terms and a sorted CSR
+// build. The flat graph must agree with it on every observable.
+
+class NestedMapGraph {
+ public:
+  void update_direct(PeerId from, PeerId to, double mb, Time now) {
+    auto& row = out_[from];
+    const auto it = row.find(to);
+    if (it != row.end() && it->second.direct && it->second.mb == mb) return;
+    put(from, to, Info{mb, now, true});
+  }
+
+  void merge_gossip(const BarterRecord& r) {
+    if (r.from == r.to || r.mb < 0) return;
+    const auto row = out_.find(r.from);
+    if (row != out_.end()) {
+      const auto it = row->second.find(r.to);
+      if (it != row->second.end()) {
+        if (it->second.direct) return;
+        if (it->second.reported_at >= r.reported_at) return;
+        if (it->second.mb == r.mb) {
+          it->second.reported_at = r.reported_at;
+          return;
+        }
+      }
+    }
+    put(r.from, r.to, Info{r.mb, r.reported_at, false});
+  }
+
+  [[nodiscard]] double edge_mb(PeerId from, PeerId to) const {
+    const auto row = out_.find(from);
+    if (row == out_.end()) return 0.0;
+    const auto it = row->second.find(to);
+    return it == row->second.end() ? 0.0 : it->second.mb;
+  }
+
+  /// Positive-weight neighbours of `peer`, as a set.
+  [[nodiscard]] std::set<std::pair<PeerId, double>> edges(
+      PeerId peer, bool outgoing) const {
+    std::set<std::pair<PeerId, double>> result;
+    const auto& side = outgoing ? out_ : in_;
+    const auto row = side.find(peer);
+    if (row == side.end()) return result;
+    for (const auto& [other, info] : row->second) {
+      if (info.mb > 0) result.emplace(other, info.mb);
+    }
+    return result;
+  }
+
+  /// Σ of `peer`'s out-edge weights in ascending target order.
+  [[nodiscard]] double claimed_upload_mb(PeerId peer) const {
+    const auto row = out_.find(peer);
+    if (row == out_.end()) return 0.0;
+    std::vector<std::pair<PeerId, double>> sorted;
+    for (const auto& [to, info] : row->second) sorted.emplace_back(to, info.mb);
+    std::sort(sorted.begin(), sorted.end());
+    double total = 0;
+    for (const auto& e : sorted) total += e.second;
+    return total;
+  }
+
+  [[nodiscard]] std::size_t edge_count() const { return n_edges_; }
+  [[nodiscard]] std::size_t node_count() const { return out_.size(); }
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
+  [[nodiscard]] SubjectiveGraph::DeltaCheck deltas_since(
+      std::uint64_t since, PeerId source, PeerId sink) const {
+    if (since >= version_) return SubjectiveGraph::DeltaCheck::kUnaffected;
+    if (since < base_) return SubjectiveGraph::DeltaCheck::kUnknown;
+    for (std::size_t k = since - base_; k < log_.size(); ++k) {
+      if (log_[k].first == source || log_[k].second == sink) {
+        return SubjectiveGraph::DeltaCheck::kAffected;
+      }
+    }
+    return SubjectiveGraph::DeltaCheck::kUnaffected;
+  }
+
+  [[nodiscard]] SubjectiveGraph::DeltaCheck affected_sources_since(
+      std::uint64_t since, PeerId sink, std::vector<PeerId>& sources) const {
+    sources.clear();
+    if (since >= version_) return SubjectiveGraph::DeltaCheck::kUnaffected;
+    if (since < base_) return SubjectiveGraph::DeltaCheck::kUnknown;
+    for (std::size_t k = since - base_; k < log_.size(); ++k) {
+      if (log_[k].second == sink) return SubjectiveGraph::DeltaCheck::kAffected;
+      sources.push_back(log_[k].first);
+    }
+    std::sort(sources.begin(), sources.end());
+    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+    return SubjectiveGraph::DeltaCheck::kUnaffected;
+  }
+
+  [[nodiscard]] double two_hop_flow(PeerId source, PeerId sink,
+                                    int max_path_edges) const {
+    if (source == sink || max_path_edges <= 0) return 0.0;
+    double flow = edge_mb(source, sink);
+    if (max_path_edges < 2) return flow;
+    const auto out_row = out_.find(source);
+    const auto in_row = in_.find(sink);
+    if (out_row == out_.end() || in_row == in_.end()) return flow;
+    std::vector<std::pair<PeerId, double>> terms;
+    for (const auto& [k, info] : out_row->second) {
+      if (k == sink || k == source || info.mb <= 0) continue;
+      const auto cap = in_row->second.find(k);
+      if (cap == in_row->second.end() || cap->second.mb <= 0) continue;
+      terms.emplace_back(k, std::min(info.mb, cap->second.mb));
+    }
+    std::sort(terms.begin(), terms.end());
+    for (const auto& term : terms) flow += term.second;
+    return flow;
+  }
+
+  /// The CSR snapshot built the map way: collect, sort the nodes, count,
+  /// scatter, then sort every row.
+  [[nodiscard]] CsrSnapshot csr() const {
+    CsrSnapshot snap;
+    for (const auto& [p, row] : out_) snap.peer_of.push_back(p);
+    for (const auto& [p, row] : in_) {
+      if (!out_.contains(p)) snap.peer_of.push_back(p);
+    }
+    std::sort(snap.peer_of.begin(), snap.peer_of.end());
+    const auto n = static_cast<std::uint32_t>(snap.peer_of.size());
+    std::unordered_map<PeerId, std::uint32_t> index;
+    for (std::uint32_t i = 0; i < n; ++i) index[snap.peer_of[i]] = i;
+    std::vector<std::vector<std::pair<std::uint32_t, double>>> out_rows(n);
+    std::vector<std::vector<std::pair<std::uint32_t, double>>> in_rows(n);
+    for (const auto& [from, row] : out_) {
+      for (const auto& [to, info] : row) {
+        if (info.mb <= 0) continue;
+        out_rows[index.at(from)].emplace_back(index.at(to), info.mb);
+        in_rows[index.at(to)].emplace_back(index.at(from), info.mb);
+      }
+    }
+    auto flatten = [n](auto& rows, std::vector<std::uint32_t>& begin,
+                       std::vector<std::uint32_t>& nbr,
+                       std::vector<double>& cap) {
+      begin.assign(1, 0);
+      for (std::uint32_t u = 0; u < n; ++u) {
+        std::sort(rows[u].begin(), rows[u].end());
+        for (const auto& [v, c] : rows[u]) {
+          nbr.push_back(v);
+          cap.push_back(c);
+        }
+        begin.push_back(static_cast<std::uint32_t>(nbr.size()));
+      }
+    };
+    flatten(out_rows, snap.out_begin, snap.out_target, snap.out_cap);
+    flatten(in_rows, snap.in_begin, snap.in_source, snap.in_cap);
+    snap.built_version = version_;
+    return snap;
+  }
+
+ private:
+  struct Info {
+    double mb = 0;
+    Time reported_at = 0;
+    bool direct = false;
+  };
+  static constexpr std::size_t kLogCapacity = 256;
+
+  void put(PeerId from, PeerId to, const Info& info) {
+    const auto [it, inserted] = out_[from].insert_or_assign(to, info);
+    const bool mb_changed = inserted || in_[to][from].mb != info.mb;
+    in_[to].insert_or_assign(from, info);
+    if (inserted) ++n_edges_;
+    if (!mb_changed) return;
+    ++version_;
+    if (log_.size() >= 2 * kLogCapacity) {
+      log_.erase(log_.begin(), log_.begin() + kLogCapacity);
+      base_ += kLogCapacity;
+    }
+    log_.emplace_back(from, to);
+  }
+
+  std::unordered_map<PeerId, std::unordered_map<PeerId, Info>> out_;
+  std::unordered_map<PeerId, std::unordered_map<PeerId, Info>> in_;
+  std::size_t n_edges_ = 0;
+  std::uint64_t version_ = 0;
+  std::vector<std::pair<PeerId, PeerId>> log_;
+  std::uint64_t base_ = 0;
+};
+
+std::set<std::pair<PeerId, double>> as_set(
+    const std::vector<std::pair<PeerId, double>>& edges) {
+  return {edges.begin(), edges.end()};
+}
+
+void expect_same_csr(const CsrSnapshot& a, const CsrSnapshot& b) {
+  EXPECT_EQ(a.built_version, b.built_version);
+  EXPECT_EQ(a.peer_of, b.peer_of);
+  EXPECT_EQ(a.out_begin, b.out_begin);
+  EXPECT_EQ(a.out_target, b.out_target);
+  EXPECT_EQ(a.out_cap, b.out_cap);
+  EXPECT_EQ(a.in_begin, b.in_begin);
+  EXPECT_EQ(a.in_source, b.in_source);
+  EXPECT_EQ(a.in_cap, b.in_cap);
+}
+
+class FlatGraphDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlatGraphDifferentialTest, MatchesNestedMapReference) {
+  util::Rng rng(GetParam());
+  SubjectiveGraph flat;
+  NestedMapGraph ref;
+  // Twelve dense ids plus two far ones, so rows are inserted out of order
+  // and with gaps.
+  const std::vector<PeerId> ids = {0, 1, 2,  3,  4,  5,   6,
+                                   7, 8, 9, 10, 11, 900, 70000};
+  const std::vector<double> volumes = {0.0, 1.0, 2.5, 4.0, 8.0};
+  auto pick = [&] { return ids[rng.next_below(ids.size())]; };
+  auto volume = [&] {
+    return rng.next_below(3) == 0 ? rng.next_double(0.0, 16.0)
+                                  : volumes[rng.next_below(volumes.size())];
+  };
+  std::vector<std::uint64_t> versions = {0};
+  BarterRecord last{1, 2, 1.0, 1};
+  Time now = 1;
+  constexpr int kOps = 10000;
+  for (int op = 0; op < kOps; ++op) {
+    now += static_cast<Time>(rng.next_below(3));
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 3) {
+      // Direct observations are the owner's (peer 0) own transfers, as in
+      // BarterAgent, so most pairs stay gossip-only.
+      PeerId other = pick();
+      while (other == 0) other = pick();
+      const bool upload = rng.next_bool(0.5);
+      const PeerId a = upload ? 0 : other;
+      const PeerId b = upload ? other : 0;
+      const double mb = volume();
+      flat.update_direct(a, b, mb, now);
+      ref.update_direct(a, b, mb, now);
+    } else {
+      BarterRecord r;
+      if (kind == 9) {
+        r = last;  // duplicate delivery
+      } else {
+        // Report times straddle `now`, so stale and equal-time records are
+        // common; an occasional negative volume or self-loop is malformed.
+        r = BarterRecord{pick(), pick(),
+                         rng.next_below(50) == 0 ? -1.0 : volume(),
+                         now - static_cast<Time>(rng.next_below(20))};
+        last = r;
+      }
+      flat.merge_gossip(r);
+      ref.merge_gossip(r);
+    }
+    if (rng.next_below(8) == 0) versions.push_back(flat.version());
+    if (op % 97 != 0 && op != kOps - 1) continue;
+
+    ASSERT_EQ(flat.version(), ref.version()) << "op " << op;
+    ASSERT_EQ(flat.edge_count(), ref.edge_count()) << "op " << op;
+    ASSERT_EQ(flat.node_count(), ref.node_count()) << "op " << op;
+    std::vector<PeerId> got;
+    std::vector<PeerId> want;
+    for (const PeerId a : ids) {
+      EXPECT_EQ(as_set(flat.out_edges(a)), ref.edges(a, true)) << a;
+      EXPECT_EQ(as_set(flat.in_edges(a)), ref.edges(a, false)) << a;
+      EXPECT_EQ(flat.claimed_upload_mb(a), ref.claimed_upload_mb(a)) << a;
+      for (const PeerId b : ids) {
+        EXPECT_EQ(flat.edge_mb(a, b), ref.edge_mb(a, b)) << a << "->" << b;
+        for (const int bound : {1, 2}) {
+          EXPECT_EQ(flat.two_hop_flow(a, b, bound),
+                    ref.two_hop_flow(a, b, bound))
+              << a << "->" << b << " bound " << bound;
+        }
+      }
+      for (const std::uint64_t v : {versions[rng.next_below(versions.size())],
+                                    versions.back()}) {
+        const PeerId source = pick();
+        EXPECT_EQ(flat.deltas_since(v, source, a),
+                  ref.deltas_since(v, source, a));
+        EXPECT_EQ(flat.affected_sources_since(v, a, got),
+                  ref.affected_sources_since(v, a, want));
+        EXPECT_EQ(got, want);
+      }
+      // The column covers ids below 12; the far ids must be skipped.
+      for (const int bound : {1, 2}) {
+        std::vector<double> column(12, 0.0);
+        flat.two_hop_flow_column(a, bound, column);
+        for (PeerId j = 0; j < column.size(); ++j) {
+          EXPECT_EQ(column[j], j == a ? 0.0 : ref.two_hop_flow(j, a, bound))
+              << j << "->" << a << " bound " << bound;
+        }
+      }
+    }
+    expect_same_csr(flat.csr(), ref.csr());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatGraphDifferentialTest,
+                         ::testing::Values<std::uint64_t>(1, 2, 3));
+
+TEST(SubjectiveGraph, FarIdsAllocateNothingProportionalToTheId) {
+  SubjectiveGraph g;
+  g.update_direct(1, 2, 3.0, 1);
+  // Heap bytes in use before and after (glibc's allocator statistics).
+  const std::size_t before = mallinfo2().uordblks;
+  g.merge_gossip(BarterRecord{kInvalidPeer, 2, 5.0, 2});
+  g.merge_gossip(BarterRecord{1, kInvalidPeer - 1, 7.0, 2});
+  g.merge_gossip(BarterRecord{4'000'000'000u, kInvalidPeer, 1.0, 2});
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_LT(after - std::min(after, before), std::size_t{4096});
+  // The far records are ordinary edges, not dropped.
+  EXPECT_EQ(g.edge_count(), 4u);
+  EXPECT_DOUBLE_EQ(g.edge_mb(kInvalidPeer, 2), 5.0);
+  EXPECT_DOUBLE_EQ(g.two_hop_flow(1, 2, 2), 3.0);
+  EXPECT_EQ(g.csr().node_count(), 5u);
+}
+
 }  // namespace
 }  // namespace tribvote::bartercast
+

@@ -4,7 +4,8 @@
 //   * LedgerEquivalence — property tests: random transfer streams must read
 //     back *bit-identically* from MapLedger and ShardedLogLedger, with
 //     queries interleaved mid-stream (i.e. against uncompacted log tails)
-//     and across forced compactions at tiny thresholds.
+//     and across forced compactions at tiny thresholds. MapLedger's sorted
+//     rows are also checked against a hash-map reference.
 //   * ShardedLogLedger unit behaviour — compaction triggers, flush, stats.
 //   * LedgerShardStress — concurrent per-lane sink appends (plus readers
 //     racing the buffered writes) merged at a barrier must equal a serial
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bt/ledger.hpp"
@@ -66,6 +68,96 @@ void expect_identical(const LedgerView& a, const LedgerView& b,
     }
   }
 }
+
+/// The hash-map-per-peer ledger MapLedger's sorted rows replaced, kept as
+/// a reference: the same `+=` per pair, so every value must match bit-for-bit.
+class NestedMapLedger final : public LedgerView {
+ public:
+  explicit NestedMapLedger(std::size_t n)
+      : up_(n), down_(n), total_up_(n), total_down_(n), version_(n) {}
+
+  void add_transfer(PeerId from, PeerId to, double bytes) {
+    up_[from][to] += bytes;
+    down_[to][from] += bytes;
+    total_up_[from] += bytes;
+    total_down_[to] += bytes;
+    ++version_[from];
+    ++version_[to];
+  }
+
+  [[nodiscard]] double uploaded_mb(PeerId from, PeerId to) const override {
+    const auto it = up_[from].find(to);
+    return it == up_[from].end() ? 0.0 : it->second / kMb;
+  }
+  [[nodiscard]] double total_uploaded_mb(PeerId peer) const override {
+    return total_up_[peer] / kMb;
+  }
+  [[nodiscard]] double total_downloaded_mb(PeerId peer) const override {
+    return total_down_[peer] / kMb;
+  }
+  [[nodiscard]] std::vector<TransferRecord> direct_view(
+      PeerId p) const override {
+    std::vector<TransferRecord> records;
+    for (const auto& [to, bytes] : up_[p]) {
+      records.push_back(TransferRecord{p, to, bytes / kMb});
+    }
+    for (const auto& [from, bytes] : down_[p]) {
+      records.push_back(TransferRecord{from, p, bytes / kMb});
+    }
+    return records;
+  }
+  [[nodiscard]] std::size_t peer_count() const noexcept override {
+    return up_.size();
+  }
+  [[nodiscard]] std::uint64_t version(PeerId peer) const override {
+    return version_[peer];
+  }
+
+ private:
+  static constexpr double kMb = 1024.0 * 1024.0;
+  std::vector<std::unordered_map<PeerId, double>> up_;
+  std::vector<std::unordered_map<PeerId, double>> down_;
+  std::vector<double> total_up_;
+  std::vector<double> total_down_;
+  std::vector<std::uint64_t> version_;
+};
+
+class MapLedgerReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MapLedgerReference, SortedRowsMatchHashMapReference) {
+  constexpr std::size_t kPeers = 40;
+  util::Rng rng(GetParam());
+  MapLedger map(kPeers);
+  NestedMapLedger ref(kPeers);
+  for (std::size_t t = 0; t < 5000; ++t) {
+    const auto from = static_cast<PeerId>(rng.next_below(kPeers));
+    auto to = static_cast<PeerId>(rng.next_below(kPeers));
+    if (to == from) to = static_cast<PeerId>((to + 1) % kPeers);
+    const double bytes = rng.next_bool(0.5)
+                             ? rng.next_double(1.0, 50.0) * 1024 * 1024
+                             : rng.next_double(0.0, 1.0) * 1024;
+    map.add_transfer(from, to, bytes);
+    ref.add_transfer(from, to, bytes);
+    if (t % 1000 == 999) expect_identical(map, ref, kPeers);
+  }
+  // The view comes out in row order: uploads by ascending target, then
+  // downloads by ascending source.
+  for (PeerId p = 0; p < kPeers; ++p) {
+    const std::vector<TransferRecord> view = map.direct_view(p);
+    const auto split = std::ranges::partition_point(
+        view, [p](const TransferRecord& r) { return r.from == p; });
+    EXPECT_TRUE(std::ranges::is_sorted(view.begin(), split, std::less<>{},
+                                       &TransferRecord::to));
+    EXPECT_TRUE(std::ranges::is_sorted(split, view.end(), std::less<>{},
+                                       &TransferRecord::from));
+    EXPECT_TRUE(std::all_of(split, view.end(), [p](const TransferRecord& r) {
+      return r.to == p;
+    }));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MapLedgerReference,
+                         ::testing::Values(1u, 2u, 3u));
 
 class LedgerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 

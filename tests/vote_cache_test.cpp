@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "crypto/schnorr.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "vote/agent.hpp"
 #include "vote/ballot_box.hpp"
 #include "vote/gossip.hpp"
@@ -360,6 +363,78 @@ TEST(CounterpartMemory, ZeroCapacityNeverKnows) {
   EXPECT_FALSE(mem.known(1));
   EXPECT_EQ(mem.size(), 0u);
 }
+
+/// The full-scan memory the recency index replaced: evict the minimum
+/// stamp by walking every entry. Its digest is CounterpartMemory's formula.
+class ScanMemory {
+ public:
+  explicit ScanMemory(std::size_t capacity) : capacity_(capacity) {}
+
+  void note(PeerId peer) {
+    if (capacity_ == 0) return;
+    if (const auto it = peers_.find(peer); it != peers_.end()) {
+      it->second = next_stamp_++;
+      return;
+    }
+    if (peers_.size() >= capacity_) {
+      auto victim = peers_.begin();
+      for (auto p = peers_.begin(); p != peers_.end(); ++p) {
+        if (p->second < victim->second) victim = p;
+      }
+      peers_.erase(victim);
+    }
+    peers_.emplace(peer, next_stamp_++);
+  }
+  [[nodiscard]] bool known(PeerId peer) const { return peers_.contains(peer); }
+  [[nodiscard]] std::size_t size() const { return peers_.size(); }
+  [[nodiscard]] std::uint64_t digest() const {
+    std::vector<std::pair<PeerId, std::uint64_t>> items(peers_.begin(),
+                                                        peers_.end());
+    std::sort(items.begin(), items.end());
+    std::uint64_t h =
+        util::digest_fields({capacity_, next_stamp_, items.size()});
+    for (const auto& [peer, stamp] : items) {
+      h = util::hash_combine(h, util::digest_fields({peer, stamp}));
+    }
+    return h;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::uint64_t next_stamp_ = 0;
+  std::unordered_map<PeerId, std::uint64_t> peers_;
+};
+
+class CounterpartMemoryReference
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CounterpartMemoryReference, IndexedEvictionMatchesScan) {
+  util::Rng rng(GetParam());
+  for (const std::size_t capacity : {1u, 2u, 7u, 32u}) {
+    CounterpartMemory mem(capacity);
+    ScanMemory ref(capacity);
+    // A skewed id draw: a hot set refreshes often, the tail forces
+    // evictions of every age.
+    for (int op = 0; op < 5000; ++op) {
+      const auto peer = static_cast<PeerId>(
+          rng.next_bool(0.6) ? rng.next_below(capacity + 2)
+                             : rng.next_below(4 * capacity + 10));
+      mem.note(peer);
+      ref.note(peer);
+      ASSERT_EQ(mem.size(), ref.size()) << "op " << op;
+      if (op % 50 == 0) {
+        for (PeerId p = 0; p < 4 * capacity + 10; ++p) {
+          ASSERT_EQ(mem.known(p), ref.known(p)) << "op " << op << " peer " << p;
+        }
+        ASSERT_EQ(mem.digest(), ref.digest()) << "op " << op;
+      }
+    }
+    EXPECT_EQ(mem.digest(), ref.digest()) << "capacity " << capacity;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CounterpartMemoryReference,
+                         ::testing::Values(1u, 2u, 3u));
 
 // ---- wire faults over the gossip frames ------------------------------------
 
