@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace tribvote::bt {
 
@@ -34,9 +35,41 @@ Swarm::Swarm(const trace::SwarmSpec& spec,
   }
 }
 
+std::vector<Swarm::Entry>::const_iterator Swarm::locate(
+    const std::vector<Entry>& entries, PeerId peer) {
+  return std::ranges::lower_bound(entries, peer, {}, &Entry::id);
+}
+
+const Swarm::Member* Swarm::find(PeerId peer) const {
+  const auto it = locate(index_, peer);
+  return it != index_.end() && it->id == peer ? &members_[it->slot] : nullptr;
+}
+
+Swarm::Member* Swarm::find(PeerId peer) {
+  return const_cast<Member*>(std::as_const(*this).find(peer));
+}
+
+void Swarm::roster_insert(PeerId peer, std::uint32_t slot) {
+  roster_.insert(locate(roster_, peer), Entry{peer, slot});
+}
+
+void Swarm::roster_erase(PeerId peer) {
+  const auto it = locate(roster_, peer);
+  assert(it != roster_.end() && it->id == peer);
+  roster_.erase(it);
+}
+
+bool Swarm::links_only_on_leechers() const {
+  return std::ranges::all_of(index_, [this](const Entry& e) {
+    const Member& m = members_[e.slot];
+    return m.links.empty() || (m.active && !m.completed);
+  });
+}
+
 void Swarm::add_member(PeerId peer, bool as_seed) {
   assert(peer < peers_.size());
-  assert(!is_member(peer));
+  const auto at = locate(index_, peer);
+  assert(at == index_.end() || at->id != peer);
   Member m;
   m.have = Bitfield(n_pieces_);
   m.in_flight = Bitfield(n_pieces_);
@@ -49,66 +82,79 @@ void Swarm::add_member(PeerId peer, bool as_seed) {
   m.active = true;
   picker_.add_bitfield(m.have);
   bandwidth_->register_active(peer);
-  ++active_count_;
-  members_.emplace(peer, std::move(m));
+  // A reused slot takes the whole fresh member: a rejoining peer starts
+  // empty, with no links, windows or playback state from its last stay.
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(members_.size());
+    members_.push_back(std::move(m));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    members_[slot] = std::move(m);
+  }
+  index_.insert(at, Entry{peer, slot});
+  roster_insert(peer, slot);
 }
 
 void Swarm::deactivate(PeerId peer) {
-  const auto it = members_.find(peer);
-  if (it == members_.end() || !it->second.active) return;
-  it->second.active = false;
-  picker_.remove_bitfield(it->second.have);
-  clear_own_links(it->second);
+  Member* m = find(peer);
+  if (m == nullptr || !m->active) return;
+  m->active = false;
+  picker_.remove_bitfield(m->have);
+  clear_own_links(*m);
+  roster_erase(peer);
   drop_links_to(peer);
   bandwidth_->unregister_active(peer);
-  --active_count_;
 }
 
 void Swarm::reactivate(PeerId peer) {
-  const auto it = members_.find(peer);
-  assert(it != members_.end());
-  if (it->second.active) return;
-  it->second.active = true;
-  picker_.add_bitfield(it->second.have);
+  const auto it = locate(index_, peer);
+  assert(it != index_.end() && it->id == peer);
+  Member& m = members_[it->slot];
+  if (m.active) return;
+  m.active = true;
+  picker_.add_bitfield(m.have);
   bandwidth_->register_active(peer);
-  ++active_count_;
+  roster_insert(peer, it->slot);
 }
 
 void Swarm::leave(PeerId peer) {
-  const auto it = members_.find(peer);
-  if (it == members_.end()) return;
-  if (it->second.active) {
-    picker_.remove_bitfield(it->second.have);
+  const auto it = locate(index_, peer);
+  if (it == index_.end() || it->id != peer) return;
+  Member& m = members_[it->slot];
+  if (m.active) {
+    picker_.remove_bitfield(m.have);
     bandwidth_->unregister_active(peer);
-    --active_count_;
+    roster_erase(peer);
   }
-  members_.erase(it);
+  m = Member();  // release the slot's buffers until add_member reuses it
+  free_slots_.push_back(it->slot);
+  index_.erase(it);
   drop_links_to(peer);
 }
 
-bool Swarm::is_member(PeerId peer) const {
-  return members_.contains(peer);
-}
+bool Swarm::is_member(PeerId peer) const { return find(peer) != nullptr; }
 
 bool Swarm::is_active(PeerId peer) const {
-  const auto it = members_.find(peer);
-  return it != members_.end() && it->second.active;
+  const Member* m = find(peer);
+  return m != nullptr && m->active;
 }
 
 bool Swarm::has_completed(PeerId peer) const {
-  const auto it = members_.find(peer);
-  return it != members_.end() && it->second.completed;
+  const Member* m = find(peer);
+  return m != nullptr && m->completed;
 }
 
 std::size_t Swarm::playback_pos(PeerId peer) const {
-  const auto it = members_.find(peer);
-  return it == members_.end() ? n_pieces_ : it->second.play_pos;
+  const Member* m = find(peer);
+  return m == nullptr ? n_pieces_ : m->play_pos;
 }
 
 double Swarm::progress(PeerId peer) const {
-  const auto it = members_.find(peer);
-  if (it == members_.end()) return 0.0;
-  return static_cast<double>(it->second.have.count()) /
+  const Member* m = find(peer);
+  if (m == nullptr) return 0.0;
+  return static_cast<double>(m->have.count()) /
          static_cast<double>(n_pieces_);
 }
 
@@ -118,7 +164,11 @@ bool Swarm::link_allowed(PeerId a, PeerId b) const {
 }
 
 void Swarm::drop_links_to(PeerId uploader) {
-  for (auto& [id, m] : members_) {
+  // Only active members can hold links (see Member), so the roster covers
+  // every one; a completed member's map is empty.
+  assert(links_only_on_leechers());
+  for (const Entry& e : roster_) {
+    Member& m = members_[e.slot];
     const auto it = m.links.find(uploader);
     if (it != m.links.end()) {
       if (it->second.piece != kNoPiece) m.in_flight.reset(it->second.piece);
@@ -197,17 +247,15 @@ void Swarm::tick(double dt) {
   // Playback clocks run against the state left by the *previous* round:
   // a piece must be present before the deadline tick to count.
   if (streaming_.enabled) {
-    for (auto& [id, m] : members_) {
-      if (m.active) advance_playback(m, dt);
-    }
+    for (const Entry& e : roster_) advance_playback(members_[e.slot], dt);
   }
-  if (active_count_ < 2) return;
+  if (roster_.size() < 2) return;
   probes.ticks.add();
-  probes.active_members.observe(static_cast<double>(active_count_));
+  probes.active_members.observe(static_cast<double>(roster_.size()));
 
   // Decay reciprocation windows once per round.
-  for (auto& [id, m] : members_) {
-    if (!m.active) continue;
+  for (const Entry& e : roster_) {
+    Member& m = members_[e.slot];
     for (auto it = m.rx_window.begin(); it != m.rx_window.end();) {
       it->second *= kWindowDecay;
       it = it->second < kWindowFloor ? m.rx_window.erase(it) : std::next(it);
@@ -224,16 +272,19 @@ void Swarm::tick(double dt) {
   // activity during a tick, but a leecher can complete mid-tick, so every
   // scan below re-checks `completed`.
   leechers_.clear();
-  for (auto& [id, m] : members_) {
-    if (m.active && !m.completed) {
-      m.down_budget = bandwidth_->download_share_bytes(id, dt);
-      leechers_.emplace_back(id, &m);
+  for (const Entry& e : roster_) {
+    Member& m = members_[e.slot];
+    if (!m.completed) {
+      m.down_budget = bandwidth_->download_share_bytes(e.id, dt);
+      leechers_.emplace_back(e.id, &m);
     }
   }
 
   // Iterate uploaders in ascending PeerId order (deterministic).
-  for (auto& [uploader_id, uploader] : members_) {
-    if (!uploader.active || uploader.have.none()) continue;
+  for (const Entry& e : roster_) {
+    const PeerId uploader_id = e.id;
+    Member& uploader = members_[e.slot];
+    if (uploader.have.none()) continue;
 
     // Interested candidates: active downloaders this uploader can serve.
     // Leechers reciprocate (tit-for-tat): rank by bytes recently received
@@ -260,7 +311,11 @@ void Swarm::tick(double dt) {
     if (share <= 0.0) continue;
 
     for (PeerId down_id : unchoked) {
-      Member& down = members_.at(down_id);
+      // Every unchoked peer is a candidate, so a leecher.
+      const auto lit = std::ranges::lower_bound(
+          leechers_, down_id, {}, &std::pair<PeerId, Member*>::first);
+      assert(lit != leechers_.end() && lit->first == down_id);
+      Member& down = *lit->second;
       double& remaining = down.down_budget;
       double amount = std::min(share, remaining);
       if (amount <= 0.0) continue;

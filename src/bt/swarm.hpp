@@ -12,6 +12,10 @@
 // free-riders leave permanently on completion. Firewalled peers can only
 // exchange data when at least one endpoint is connectable.
 //
+// Members live in a dense store: slots in a vector, found by id through a
+// sorted id index, with an ascending-id roster of the active members that
+// every per-tick pass walks. Nothing is sized by the peer population.
+//
 // Every transferred byte lands in the shared ledger (via its LedgerSink
 // write half) — the sole signal BarterCast (and hence the experience
 // function) consumes.
@@ -19,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -65,7 +68,8 @@ class Swarm {
   Swarm& operator=(const Swarm&) = delete;
 
   /// Fired when a member completes its download (before any free-rider
-  /// departure logic the caller applies).
+  /// departure logic the caller applies). It runs inside tick(), so it must
+  /// not add, (de)activate or remove members of this swarm; defer those.
   std::function<void(PeerId peer)> on_complete;
 
   /// Telemetry probes (assign after construction, like on_complete).
@@ -91,10 +95,10 @@ class Swarm {
   [[nodiscard]] bool is_active(PeerId peer) const;
   [[nodiscard]] bool has_completed(PeerId peer) const;
   [[nodiscard]] std::size_t active_count() const noexcept {
-    return active_count_;
+    return roster_.size();
   }
   [[nodiscard]] std::size_t member_count() const noexcept {
-    return members_.size();
+    return index_.size();
   }
   /// Download progress in [0, 1].
   [[nodiscard]] double progress(PeerId peer) const;
@@ -116,6 +120,9 @@ class Swarm {
     double bytes = 0;
   };
 
+  // Links exist only on active, uncompleted members: deactivate() and a
+  // completed download clear a member's own links, and tick() opens links
+  // only on leechers. drop_links_to() relies on it.
   struct Member {
     Bitfield have;
     bool active = false;
@@ -131,6 +138,21 @@ class Swarm {
     bool playing = false;       // startup buffer filled, clock running
     double play_carry = 0.0;    // seconds accumulated toward the next piece
   };
+
+  /// One member's slot in `members_`, keyed by its id.
+  struct Entry {
+    PeerId id;
+    std::uint32_t slot;
+  };
+
+  /// First entry of an ascending-id list whose id is not below `peer`.
+  [[nodiscard]] static std::vector<Entry>::const_iterator locate(
+      const std::vector<Entry>& entries, PeerId peer);
+  [[nodiscard]] Member* find(PeerId peer);
+  [[nodiscard]] const Member* find(PeerId peer) const;
+  void roster_insert(PeerId peer, std::uint32_t slot);
+  void roster_erase(PeerId peer);
+  [[nodiscard]] bool links_only_on_leechers() const;
 
   [[nodiscard]] bool link_allowed(PeerId a, PeerId b) const;
   void drop_links_to(PeerId uploader);
@@ -153,14 +175,21 @@ class Swarm {
   double piece_seconds_ = 0.0;  // playback time one piece covers
   StreamingTotals streaming_totals_;
   PiecePicker picker_;
-  // std::map for deterministic iteration order (PeerId ascending).
-  std::map<PeerId, Member> members_;
-  std::size_t active_count_ = 0;
-  // Per-tick scratch, reused across ticks: the leecher roster (map nodes
-  // are stable, and nothing joins or leaves during a tick) and one
+  // Dense member store. A slot freed by leave() is reset and reused by the
+  // next add_member(). `index_` names every member's slot and `roster_`
+  // every active member's, both in ascending id order, which is the order
+  // every pass of tick() visits them in.
+  std::vector<Member> members_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> index_;
+  std::vector<Entry> roster_;
+  // Per-tick scratch, reused across ticks: the leecher roster (slots do
+  // not move, and nothing joins or leaves during a tick) and one
   // uploader's interested candidates.
   std::vector<std::pair<PeerId, Member*>> leechers_;
   std::vector<ChokeCandidate> candidates_;
+
+  friend struct SwarmInspector;  // read-only access for invariant tests
 };
 
 }  // namespace tribvote::bt

@@ -26,7 +26,7 @@ PeerDirectory::PeerDirectory(PeerId self, const crypto::KeyPair& keys,
                              std::uint32_t ip, std::uint16_t port,
                              PeerDirectoryConfig config, util::Rng rng)
     : self_(self),
-      keys_(&keys),
+      keys_(keys),
       ip_(ip),
       port_(port),
       config_(config),
@@ -40,7 +40,7 @@ PeerDirectory::PeerDirectory(PeerId self, const crypto::KeyPair& keys,
 }
 
 const PeerDescriptor& PeerDirectory::refresh_self(Time now) {
-  self_desc_ = make_descriptor(self_, *keys_, ip_, port_, now, sign_rng_);
+  self_desc_ = make_descriptor(self_, keys_, ip_, port_, now, sign_rng_);
   const std::size_t i = index_of(self_);
   if (i < records_.size()) records_[i].d = self_desc_;
   return self_desc_;

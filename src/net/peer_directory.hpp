@@ -72,8 +72,8 @@ class PeerDirectory final : public pss::PeerSampler {
   static constexpr std::uint64_t kSampleStream = 0x73616d706c65ULL;  // "sample"
   static constexpr std::uint64_t kSignStream = 0x7369676eULL;        // "sign"
 
-  /// `keys` must outlive the directory (owned by the node). `ip`/`port`
-  /// are this node's advertised dial address.
+  /// The directory keeps its own copy of `keys`. `ip`/`port` are this
+  /// node's advertised dial address.
   PeerDirectory(PeerId self, const crypto::KeyPair& keys,
                 std::uint32_t ip, std::uint16_t port,
                 PeerDirectoryConfig config, util::Rng rng);
@@ -151,7 +151,7 @@ class PeerDirectory final : public pss::PeerSampler {
   void erase(PeerId peer);
 
   PeerId self_;
-  const crypto::KeyPair* keys_;
+  crypto::KeyPair keys_;
   std::uint32_t ip_;
   std::uint16_t port_;
   PeerDirectoryConfig config_;

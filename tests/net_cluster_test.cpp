@@ -101,6 +101,21 @@ TEST(PeerDirectory, OwnEntryNeverOverridden) {
   EXPECT_EQ(held.key.y, self_keys.pub.y);
 }
 
+TEST(PeerDirectory, KeepsItsOwnCopyOfATemporaryKeyPair) {
+  // The key pair is a temporary that dies with the constructor's full
+  // expression; every later self-signature must still verify.
+  PeerDirectory dir(1, keys_for(1), 0x7f000001u, 9999, PeerDirectoryConfig{},
+                    util::Rng(99));
+  const PeerDescriptor& self = dir.refresh_self(50);
+  EXPECT_TRUE(verify_descriptor(self));
+  EXPECT_EQ(self.key.y, keys_for(1).pub.y);
+  const PeerExchangeMessage shuffle = dir.build_shuffle(60, false);
+  ASSERT_FALSE(shuffle.descriptors.empty());
+  for (const PeerDescriptor& d : shuffle.descriptors) {
+    EXPECT_TRUE(verify_descriptor(d));
+  }
+}
+
 TEST(PeerDirectory, CapEvictsStalest) {
   PeerDirectoryConfig config;
   config.view_size = 2;
