@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "bartercast/maxflow.hpp"
 #include "bartercast/protocol.hpp"
@@ -15,6 +19,7 @@
 #include "trace/analyzer.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "vote/ballot_box.hpp"
 #include "vote/voxpopuli.hpp"
@@ -76,6 +81,7 @@ TEST_P(BallotBoxProperty, InvariantsHoldUnderRandomMerges) {
 
     // Invariant: capacity respected.
     ASSERT_LE(box.size(), b_max);
+    ASSERT_TRUE(box.invariants_hold());
     // Invariant: unique voters consistent with tally mass.
     std::size_t tally_mass = 0;
     for (const auto& [m, t] : box.tally()) tally_mass += t.total();
@@ -96,6 +102,219 @@ TEST_P(BallotBoxProperty, InvariantsHoldUnderRandomMerges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BallotBoxProperty,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+// ---- ballot box: the flat box matches the std::map box op for op ------------
+
+// The ballot box as it was stored before DESIGN §19: a std::map keyed
+// (voter, moderator) whose eviction scans every entry for the oldest
+// (received, seq). Kept here as the reference the flat rows and recency
+// list must reproduce exactly, digest included.
+class ReferenceBallotBox {
+ public:
+  explicit ReferenceBallotBox(std::size_t b_max) : b_max_(b_max) {}
+
+  void merge(PeerId voter, const std::vector<vote::VoteEntry>& votes,
+             Time now) {
+    for (const vote::VoteEntry& v : votes) {
+      if (v.opinion == Opinion::kNone) continue;
+      const auto key = std::make_pair(voter, v.moderator);
+      const auto it = entries_.find(key);
+      if (it != entries_.end()) {
+        it->second.opinion = v.opinion;
+        it->second.received = now;
+        it->second.seq = next_seq_++;
+        it->second.cast_at = v.cast_at;
+        continue;
+      }
+      if (entries_.size() >= b_max_) evict_oldest();
+      entries_.emplace(key, Entry{voter, v.moderator, v.opinion, now,
+                                  next_seq_++, v.cast_at});
+    }
+  }
+
+  std::size_t purge_voters(const std::function<bool(PeerId)>& keep) {
+    std::size_t removed = 0;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (keep(it->second.voter)) {
+        ++it;
+      } else {
+        it = entries_.erase(it);
+        ++removed;
+      }
+    }
+    return removed;
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+  [[nodiscard]] std::size_t unique_voters() const {
+    std::set<PeerId> voters;
+    for (const auto& [key, e] : entries_) voters.insert(e.voter);
+    return voters.size();
+  }
+
+  [[nodiscard]] std::map<ModeratorId, vote::Tally> tally() const {
+    std::map<ModeratorId, vote::Tally> result;
+    for (const auto& [key, e] : entries_) {
+      vote::Tally& t = result[e.moderator];
+      if (e.opinion == Opinion::kPositive) {
+        ++t.positive;
+      } else {
+        ++t.negative;
+      }
+    }
+    return result;
+  }
+
+  [[nodiscard]] std::optional<vote::VoteEntry> find(
+      PeerId voter, ModeratorId moderator) const {
+    const auto it = entries_.find(std::make_pair(voter, moderator));
+    if (it == entries_.end()) return std::nullopt;
+    return vote::VoteEntry{it->second.moderator, it->second.opinion,
+                           it->second.cast_at};
+  }
+
+  [[nodiscard]] std::uint64_t digest() const {
+    std::uint64_t h =
+        util::digest_fields({b_max_, next_seq_, entries_.size()});
+    for (const auto& [key, e] : entries_) {
+      h = util::hash_combine(
+          h, util::digest_fields(
+                 {e.voter, e.moderator,
+                  static_cast<std::uint64_t>(
+                      static_cast<std::int64_t>(opinion_value(e.opinion))),
+                  static_cast<std::uint64_t>(e.received), e.seq,
+                  static_cast<std::uint64_t>(e.cast_at)}));
+    }
+    return h;
+  }
+
+ private:
+  struct Entry {
+    PeerId voter;
+    ModeratorId moderator;
+    Opinion opinion;
+    Time received;
+    std::uint64_t seq;
+    Time cast_at;
+  };
+
+  void evict_oldest() {
+    auto victim = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->second.received < victim->second.received ||
+          (it->second.received == victim->second.received &&
+           it->second.seq < victim->second.seq)) {
+        victim = it;
+      }
+    }
+    entries_.erase(victim);
+  }
+
+  std::size_t b_max_;
+  std::uint64_t next_seq_ = 0;
+  std::map<std::pair<PeerId, ModeratorId>, Entry> entries_;
+};
+
+[[nodiscard]] bool same_tally(const std::map<ModeratorId, vote::Tally>& a,
+                              const std::map<ModeratorId, vote::Tally>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             x.second.positive == y.second.positive &&
+                             x.second.negative == y.second.negative;
+                    });
+}
+
+[[nodiscard]] bool same_vote(const std::optional<vote::VoteEntry>& a,
+                             const std::optional<vote::VoteEntry>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->moderator == b->moderator && a->opinion == b->opinion &&
+                a->cast_at == b->cast_at);
+}
+
+class BallotBoxDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(BallotBoxDifferential, MatchesMapReferenceOpForOp) {
+  const auto [seed, b_max] = GetParam();
+  util::Rng rng(seed);
+  vote::BallotBox box(b_max);
+  ReferenceBallotBox ref(b_max);
+  // 30 voters x 8 moderators = 240 keys, more than the largest box holds,
+  // so every capacity sees new votes, refreshes, revisions and evictions.
+  constexpr std::uint64_t kVoters = 30;
+  constexpr std::uint64_t kModerators = 8;
+  Time clock = 1000;
+  for (int op = 0; op < 10000; ++op) {
+    if (rng.next_bool(0.02)) {
+      // Purge a random subset of voters; both boxes must ask `keep` about
+      // the same voters in the same order.
+      const auto modulus = 2 + rng.next_below(6);
+      const auto residue = rng.next_below(modulus);
+      std::vector<PeerId> asked_box;
+      std::vector<PeerId> asked_ref;
+      const auto removed = box.purge_voters([&](PeerId v) {
+        asked_box.push_back(v);
+        return v % modulus != residue;
+      });
+      const auto ref_removed = ref.purge_voters([&](PeerId v) {
+        asked_ref.push_back(v);
+        return v % modulus != residue;
+      });
+      ASSERT_EQ(removed, ref_removed) << "op " << op;
+      ASSERT_EQ(asked_box, asked_ref) << "op " << op;
+    } else {
+      // Receive times mostly advance, often tie, and sometimes go back
+      // (a net-plane responder merges at each initiator's wire time).
+      Time now = clock;
+      const auto draw = rng.next_below(100);
+      if (draw < 55) {
+        clock += static_cast<Time>(rng.next_below(4));
+        now = clock;
+      } else if (draw < 80) {
+        now = clock;
+      } else {
+        now = clock - static_cast<Time>(rng.next_below(25));
+      }
+      const auto voter = static_cast<PeerId>(rng.next_below(kVoters));
+      std::vector<vote::VoteEntry> votes;
+      const auto n_votes = 1 + rng.next_below(5);
+      for (std::uint64_t i = 0; i < n_votes; ++i) {
+        const auto kind = rng.next_below(10);
+        const Opinion opinion = kind == 0   ? Opinion::kNone
+                                : kind <= 5 ? Opinion::kPositive
+                                            : Opinion::kNegative;
+        votes.push_back(vote::VoteEntry{
+            static_cast<ModeratorId>(rng.next_below(kModerators)), opinion,
+            static_cast<Time>(rng.next_below(1u << 20))});
+      }
+      box.merge(voter, votes, now);
+      ref.merge(voter, votes, now);
+    }
+    ASSERT_TRUE(box.invariants_hold()) << "op " << op;
+    ASSERT_EQ(box.digest(), ref.digest()) << "op " << op;
+    ASSERT_EQ(box.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(box.unique_voters(), ref.unique_voters()) << "op " << op;
+    ASSERT_TRUE(same_tally(box.tally(), box.recompute_tally())) << "op " << op;
+    ASSERT_TRUE(same_tally(box.tally(), ref.tally())) << "op " << op;
+    for (int probe = 0; probe < 4; ++probe) {
+      // Keys inside the key space are held or not; the one past it never is.
+      const auto voter = static_cast<PeerId>(rng.next_below(kVoters + 1));
+      const auto moderator =
+          static_cast<ModeratorId>(rng.next_below(kModerators + 1));
+      ASSERT_TRUE(same_vote(box.find(voter, moderator),
+                            ref.find(voter, moderator)))
+          << "op " << op << " find(" << voter << ", " << moderator << ")";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByCapacity, BallotBoxDifferential,
+    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3),
+                       ::testing::Values<std::size_t>(1, 2, 7, 100)));
 
 // ---- VoxPopuli: merged ranking contains exactly the cached moderators -------
 

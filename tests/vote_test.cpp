@@ -101,6 +101,31 @@ TEST(BallotBox, CapacityEvictsOldest) {
   EXPECT_EQ(tally.at(10).positive, 3u);
 }
 
+TEST(BallotBox, EvictsOldestUnderOutOfOrderReceiveTimes) {
+  // A net-plane responder merges at each initiator's wire time, so one box
+  // can see receive times go backwards. The victim is still the entry with
+  // the oldest (received, seq), not the earliest inserted.
+  BallotBox box(3);
+  box.merge(1, {{10, Opinion::kPositive, 1}}, 5);
+  box.merge(2, {{10, Opinion::kPositive, 1}}, 15);
+  box.merge(3, {{10, Opinion::kPositive, 1}}, 25);
+  box.merge(4, {{10, Opinion::kPositive, 1}}, 30);  // evicts voter 1 (t=5)
+  EXPECT_FALSE(box.find(1, 10));
+  box.merge(5, {{10, Opinion::kPositive, 1}}, 10);  // evicts voter 2 (t=15)
+  EXPECT_FALSE(box.find(2, 10));
+  EXPECT_TRUE(box.find(5, 10));
+  // Voter 5's t=10 entry is now the oldest although it arrived last, so a
+  // FIFO by arrival would wrongly evict voter 3 here.
+  box.merge(6, {{10, Opinion::kPositive, 1}}, 20);  // evicts voter 5 (t=10)
+  EXPECT_FALSE(box.find(5, 10));
+  EXPECT_TRUE(box.find(3, 10));
+  EXPECT_TRUE(box.find(4, 10));
+  EXPECT_TRUE(box.find(6, 10));
+  EXPECT_EQ(box.size(), 3u);
+  EXPECT_EQ(box.unique_voters(), 3u);
+  EXPECT_TRUE(box.invariants_hold());
+}
+
 TEST(BallotBox, EvictionUpdatesUniqueVoters) {
   BallotBox box(2);
   box.merge(1, {{10, Opinion::kPositive, 1}, {11, Opinion::kPositive, 1}},
