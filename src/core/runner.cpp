@@ -137,8 +137,8 @@ void ScenarioRunner::init_telemetry() {
 
   // Serial mirrors of RunStats / kernel stats. Registration order is the
   // per-round CSV column order. The kernel.* counters describe the
-  // *schedule* (levels, mailbox traffic) and are the only columns that
-  // legitimately vary with the shard count.
+  // *schedule* (levels, cross-shard encounters) and are the only columns
+  // that legitimately vary with the shard count.
   mirrors_.vote_exchanges = reg.counter("vote.exchanges");
   mirrors_.votes_accepted = reg.counter("vote.accepted");
   mirrors_.votes_rejected = reg.counter("vote.rejected_inexperienced");
@@ -484,7 +484,7 @@ void ScenarioRunner::schedule_everything() {
     add_loop(pp.adaptive_update, pp.adaptive_update, [this] {
       // Node-local and order-independent: each node reads its own observed
       // dispersion and re-derives its own threshold, so the update shards
-      // with no mailbox traffic.
+      // with no cross-shard encounters.
       kernel_->for_each_node(
           [this](PeerId id, std::size_t) {
             nodes_[id]->update_adaptive_threshold();

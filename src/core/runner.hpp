@@ -121,13 +121,6 @@ class ScenarioRunner {
   [[nodiscard]] const sim::ShardKernelStats& kernel_stats() const noexcept {
     return kernel_->stats();
   }
-  /// Cross-shard mailbox backlog of the kernel. Always zero between rounds
-  /// — including after a mid-round crash takes an endpoint offline (the
-  /// fault tests assert on this).
-  [[nodiscard]] std::size_t pending_mail() const noexcept {
-    return kernel_->pending_mail();
-  }
-
   /// Degradation counters of the fault plane, per protocol (all zero when
   /// ScenarioConfig::faults is disabled).
   [[nodiscard]] const sim::FaultStats& fault_stats() const noexcept {

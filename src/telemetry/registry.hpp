@@ -3,7 +3,7 @@
 // Named counters, gauges and fixed-bucket histograms with lane-local value
 // blocks. Hot-path writes land in the block of the worker lane executing
 // the current encounter (telemetry::current_lane(), a thread-local the
-// ShardKernel maintains around its phase tasks); blocks are folded into
+// ShardKernel maintains around each lane's work); blocks are folded into
 // the totals serially at round barriers, in lane order. Every folded
 // quantity is an unsigned sum, so totals are bit-identical at any shard
 // count — the same discipline the fault plane's lane buffers and the
@@ -31,7 +31,7 @@ namespace tribvote::telemetry {
 
 /// Worker lane executing on this thread. 0 on the simulator thread and on
 /// any thread the kernel has not claimed; the ShardKernel sets it around
-/// each per-lane phase task.
+/// each lane's work.
 [[nodiscard]] std::size_t current_lane() noexcept;
 void set_current_lane(std::size_t lane) noexcept;
 

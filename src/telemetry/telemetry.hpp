@@ -60,7 +60,7 @@ class Telemetry {
   std::vector<Row> rows_;
 };
 
-/// RAII span over a protocol or kernel phase. Holds a nullable Telemetry
+/// RAII span over a protocol phase or kernel round. Holds a nullable Telemetry
 /// pointer: with tracing off (or telemetry off entirely) construction and
 /// destruction are a branch each, recording nothing.
 class Span {

@@ -3,14 +3,16 @@
 // A TraceBuffer collects completed spans — (name, start, duration) against
 // a steady-clock epoch fixed at construction. Spans time *wall clock*, not
 // simulated time: they exist to show where a run spends hardware time
-// (which protocol phase, which kernel phase), and are the only part of the
+// (which protocol phase, which kernel lane), and are the only part of the
 // telemetry plane that is not deterministic. Counter/histogram totals never
 // come from here.
 //
 // Threading: record() is not synchronized. The runner only records spans
-// from the simulator thread (protocol phases and kernel phases all run
-// there; worker lanes execute inside a phase, they do not own spans), so
-// one buffer per runner needs no lock.
+// from the simulator thread, so one buffer per runner needs no lock. The
+// ShardKernel's worker lanes only read the clock (now_us() is const): each
+// stamps its start, end and wait into a lane-owned slot, and the simulator
+// thread records those as "kernel.lane" spans (tid = lane + 1) after the
+// round.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace tribvote::util {
 
@@ -47,7 +48,17 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();  // propagate first exception
+  // Wait for every task before rethrowing: `fn` (often a temporary) must
+  // outlive all of them, not only the first one that failed.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace tribvote::util

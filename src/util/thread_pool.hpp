@@ -1,8 +1,10 @@
-// Fixed-size thread pool used to run independent simulation replicas (one
-// trace/seed per task) in parallel. Tasks must be independent: the simulator
-// itself is single-threaded and deterministic; parallelism lives only at the
-// replica level, which keeps results bit-identical regardless of thread
-// count or scheduling.
+// Fixed-size thread pool. It runs independent simulation replicas (one
+// trace/seed per task) and, inside one simulation, the worker lanes of
+// sim::ShardKernel, whose per-round lane tasks wait on each other's
+// encounters (sim/shard_kernel.hpp). Results stay bit-identical regardless
+// of thread count or scheduling because neither use lets the schedule
+// reach the output: replicas share nothing, and the kernel fixes every
+// node's operation order.
 #pragma once
 
 #include <condition_variable>
@@ -47,7 +49,8 @@ class ThreadPool {
   }
 
   /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
-  /// Exceptions from tasks are rethrown (first one wins).
+  /// Returns only after every task has finished, even when some threw; then
+  /// rethrows the exception of the lowest-indexed task that threw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -308,7 +308,8 @@ TEST(Runner, ShardCountInvarianceUnderAttackAndAdaptive) {
 TEST(Runner, ShardStressCrossShardMailboxes) {
   // TSan-friendly stress: a larger population on real worker threads, with
   // shards chosen so most encounters cross shard boundaries. Asserts the
-  // mailboxed path actually ran and that results match the serial run.
+  // cross-shard path (lanes waiting on each other) actually ran and that
+  // results match the serial run.
   trace::GeneratorParams params;
   params.n_peers = 48;
   params.n_swarms = 4;
@@ -419,17 +420,20 @@ TEST(Runner, FaultedRunDegradesGracefully) {
   EXPECT_GT(total.one_sided, 0u);
 }
 
-TEST(Runner, CrashRoundsLeaveNoDanglingMailboxes) {
-  // Satellite: peer_offline mid-round (fault-plane crashes) must leave the
-  // shard kernel's cross-shard mailboxes fully drained after every round.
+TEST(Runner, CrashRoundsCompleteOnTheShardedKernel) {
+  // peer_offline mid-round (fault-plane crashes) turns exchanges into
+  // no-ops; the sharded kernel must still finish every round, since lanes
+  // wait on those encounters. The kernel side is checked directly by
+  // ShardKernel.EveryEncounterRunsOnceEvenWhenExchangesDeclineToAct.
   const trace::Trace tr = small_trace();
   ScenarioConfig config = faulty_config();
   config.faults.crash_rate = 0.1;  // crash hard and often
   config.shards = 4;
   ScenarioRunner runner(tr, config, 11);
   for (Time t = kHour; t <= tr.duration; t += kHour) {
+    const std::uint64_t rounds = runner.kernel_stats().rounds;
     runner.run_until(t);
-    EXPECT_EQ(runner.pending_mail(), 0u) << "at t=" << t;
+    EXPECT_GT(runner.kernel_stats().rounds, rounds) << "at t=" << t;
   }
   EXPECT_GT(runner.fault_stats().total().crashes, 0u);
   EXPECT_GT(runner.fault_stats().total().unreachable, 0u);

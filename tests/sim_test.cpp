@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <future>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -343,22 +349,202 @@ TEST(ShardKernel, CrossShardEncountersGoThroughMailboxes) {
   EXPECT_GT(kernel.stats().levels, 0u);
 }
 
-TEST(ShardKernel, MailboxesDrainEvenWhenExchangesDeclineToAct) {
+TEST(ShardKernel, EveryEncounterRunsOnceEvenWhenExchangesDeclineToAct) {
   // Fault-plane contract: an exchange body that does nothing (unreachable
-  // endpoint, crashed responder) must still leave every cross-shard mailbox
-  // empty after the round — mail is drained by the kernel, not by the body.
+  // endpoint, crashed responder) still completes its encounter, so the
+  // encounters that wait on it run, and every encounter of the round is
+  // handed to the body exactly once.
   util::Rng rng(13);
   util::ThreadPool pool(4);
   ShardKernel kernel(64, 4, &pool);
   for (int round = 0; round < 10; ++round) {
     const auto encounters = random_round(64, rng);
+    std::vector<std::atomic<int>> runs(encounters.size());
+    std::vector<int> acted(64, 0);  // endpoint-owned, like node state
     // Decline every other encounter, mimicking a fault verdict table.
-    kernel.run_round(encounters, [](const Encounter& e, std::size_t) {
+    kernel.run_round(encounters, [&](const Encounter& e, std::size_t) {
+      runs[e.seq].fetch_add(1);
       if (e.seq % 2 == 0) return;  // "unreachable": no-op exchange
+      ++acted[e.initiator];
+      ++acted[e.responder];
     });
-    EXPECT_EQ(kernel.pending_mail(), 0u) << "round " << round;
+    std::vector<int> expected(64, 0);
+    for (const Encounter& e : encounters) {
+      EXPECT_EQ(runs[e.seq].load(), 1) << "round " << round << " seq " << e.seq;
+      if (e.seq % 2 == 1) {
+        ++expected[e.initiator];
+        ++expected[e.responder];
+      }
+    }
+    EXPECT_EQ(acted, expected) << "round " << round;
   }
-  EXPECT_GT(kernel.stats().mailed, 0u);  // the contract was actually tested
+  EXPECT_GT(kernel.stats().mailed, 0u);  // cross-lane waits were exercised
+}
+
+/// A round that stresses the predecessor waits: uniform pairs, hub nodes
+/// that take part in a large share of encounters (deep, narrow levels), and
+/// long chains (x0,x1), (x1,x2), ... that cross every lane.
+std::vector<Encounter> stress_round(std::size_t n, util::Rng& rng) {
+  std::vector<Encounter> encounters;
+  const auto push = [&encounters](PeerId i, PeerId j) {
+    if (i == j) return;
+    encounters.push_back(
+        {static_cast<std::uint32_t>(2 * encounters.size() + 1), i, j});
+  };
+  const auto node = [&rng, n] {
+    return static_cast<PeerId>(rng.next_below(n));
+  };
+  const PeerId hubs[] = {node(), node()};
+  for (int block = 0; block < 6; ++block) {
+    for (int k = 0; k < 40; ++k) {
+      const PeerId i = node();
+      push(i, rng.next_bool(0.3) ? hubs[rng.next_below(2)] : node());
+    }
+    PeerId prev = node();
+    for (int k = 0; k < 25; ++k) {
+      const PeerId next = node();
+      if (rng.next_bool(0.5)) {
+        push(prev, next);
+      } else {
+        push(next, prev);
+      }
+      prev = next;
+    }
+  }
+  return encounters;
+}
+
+/// The lane schedule the kernel promises, computed independently: levels by
+/// the conflict rule, then per level each lane's shard-local encounters in
+/// seq order followed by its cross-shard ones in (initiator shard, seq)
+/// order.
+std::vector<std::vector<std::uint32_t>> reference_lane_order(
+    std::size_t n, const std::vector<Encounter>& encounters,
+    std::size_t shards) {
+  std::vector<std::size_t> next(n, 0);
+  std::vector<std::vector<Encounter>> levels;
+  for (const Encounter& e : encounters) {
+    const std::size_t lvl = std::max(next[e.initiator], next[e.responder]);
+    next[e.initiator] = next[e.responder] = lvl + 1;
+    if (lvl >= levels.size()) levels.resize(lvl + 1);
+    levels[lvl].push_back(e);
+  }
+  std::vector<std::vector<std::uint32_t>> lanes(shards);
+  for (const auto& level : levels) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (const Encounter& e : level) {
+        if (e.initiator % shards == s && e.responder % shards == s) {
+          lanes[s].push_back(e.seq);
+        }
+      }
+      for (std::size_t sender = 0; sender < shards; ++sender) {
+        if (sender == s) continue;
+        for (const Encounter& e : level) {
+          if (e.initiator % shards == sender && e.responder % shards == s) {
+            lanes[s].push_back(e.seq);
+          }
+        }
+      }
+    }
+  }
+  return lanes;
+}
+
+TEST(ShardKernel, LaneAndNodeOrderMatchReferenceUnderSeededDelays) {
+  constexpr std::size_t kNodes = 48;
+  util::Rng rng(17);
+  for (const std::size_t shards : {2u, 3u, 4u, 8u}) {
+    // A pool as wide as the lanes, and a narrower one that makes a worker
+    // interleave several lanes.
+    for (const std::size_t threads : {shards, std::size_t{2}}) {
+      util::ThreadPool pool(threads);
+      ShardKernel kernel(kNodes, shards, &pool);
+      for (int round = 0; round < 4; ++round) {
+        const auto encounters = stress_round(kNodes, rng);
+        std::vector<std::uint32_t> delay_us(2 * encounters.size() + 2);
+        for (auto& d : delay_us) {
+          d = static_cast<std::uint32_t>(rng.next_below(6));
+        }
+        std::vector<std::vector<std::uint32_t>> nodes(kNodes);
+        std::vector<std::vector<std::uint32_t>> lanes(shards);
+        kernel.run_round(encounters, [&](const Encounter& e, std::size_t lane) {
+          EXPECT_EQ(lane, e.responder % shards);
+          if (delay_us[e.seq] > 0) {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(delay_us[e.seq]));
+          }
+          nodes[e.initiator].push_back(e.seq);
+          nodes[e.responder].push_back(e.seq);
+          lanes[lane].push_back(e.seq);
+        });
+        std::vector<std::vector<std::uint32_t>> serial(kNodes);
+        for (const Encounter& e : encounters) {
+          serial[e.initiator].push_back(e.seq);
+          serial[e.responder].push_back(e.seq);
+        }
+        EXPECT_EQ(nodes, serial)
+            << "shards=" << shards << " threads=" << threads;
+        EXPECT_EQ(lanes, reference_lane_order(kNodes, encounters, shards))
+            << "shards=" << shards << " threads=" << threads;
+      }
+    }
+  }
+}
+
+/// Run `body` on a helper thread and give it `limit` to finish. A hang is
+/// a failure that must not block the suite, so the process aborts.
+template <typename Body>
+void within(std::chrono::seconds limit, Body body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << "still running after " << limit.count() << " s";
+    std::abort();
+  }
+  runner.join();
+}
+
+TEST(ShardKernel, ThrowingExchangeAbortsRoundAndKernelStaysUsable) {
+  constexpr std::size_t kNodes = 64;
+  within(std::chrono::seconds(10), [] {
+    util::Rng rng(19);
+    util::ThreadPool pool(4);
+    util::ThreadPool* const pools[] = {&pool, nullptr};
+    for (util::ThreadPool* p : pools) {
+      ShardKernel kernel(kNodes, 4, p);
+      for (int round = 0; round < 6; ++round) {
+        const auto encounters = random_round(kNodes, rng);
+        // One lane throws mid-round; in odd rounds every lane throws.
+        const std::uint32_t bad = encounters[encounters.size() / 2].seq;
+        EXPECT_THROW(
+            kernel.run_round(encounters,
+                             [&](const Encounter& e, std::size_t) {
+                               if (e.seq == bad ||
+                                   (round % 2 == 1 && e.seq % 7 == 3)) {
+                                 throw std::runtime_error("exchange failed");
+                               }
+                             }),
+            std::runtime_error);
+        // The next round on the same kernel runs in full, in serial order.
+        const auto next = random_round(kNodes, rng);
+        std::vector<std::vector<std::uint32_t>> seen(kNodes);
+        std::vector<std::vector<std::uint32_t>> serial(kNodes);
+        kernel.run_round(next, [&](const Encounter& e, std::size_t) {
+          seen[e.initiator].push_back(e.seq);
+          seen[e.responder].push_back(e.seq);
+        });
+        for (const Encounter& e : next) {
+          serial[e.initiator].push_back(e.seq);
+          serial[e.responder].push_back(e.seq);
+        }
+        EXPECT_EQ(seen, serial) << "round " << round;
+      }
+    }
+  });
 }
 
 TEST(ShardKernel, ForEachNodeCoversPopulationOncePerNode) {

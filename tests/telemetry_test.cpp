@@ -449,5 +449,37 @@ TEST(TelemetryRunner, RunnerTraceExportIsWellFormed) {
   EXPECT_TRUE(saw_round);
 }
 
+TEST(TelemetryRunner, ShardedKernelRecordsOneLaneSpanPerLanePerRound) {
+  const trace::Trace tr = small_trace();
+  core::ScenarioConfig config;
+  config.shards = 4;
+  config.telemetry.mode = telemetry::TelemetryMode::kTrace;
+  core::ScenarioRunner runner(tr, config, 11);
+  runner.run_until(6 * kHour);
+
+  // Rounds with no encounters dispatch no lanes.
+  std::vector<const telemetry::SpanEvent*> rounds;
+  std::map<std::uint32_t, std::vector<const telemetry::SpanEvent*>> lanes;
+  for (const auto& e : runner.telemetry()->trace().events()) {
+    const std::string name = e.name;
+    if (name == "kernel.round" && e.arg > 0) rounds.push_back(&e);
+    if (name == "kernel.lane") lanes[e.tid].push_back(&e);
+  }
+  ASSERT_FALSE(rounds.empty());
+  ASSERT_EQ(lanes.size(), 4u);
+  for (std::uint32_t tid = 1; tid <= 4; ++tid) {
+    const auto& spans = lanes[tid];
+    ASSERT_EQ(spans.size(), rounds.size()) << "lane tid " << tid;
+    for (std::size_t r = 0; r < spans.size(); ++r) {
+      // The lane ran inside its round and waited at most its whole span.
+      EXPECT_GE(spans[r]->ts_us, rounds[r]->ts_us);
+      EXPECT_LE(spans[r]->ts_us + spans[r]->dur_us,
+                rounds[r]->ts_us + rounds[r]->dur_us);
+      EXPECT_TRUE(spans[r]->has_arg);
+      EXPECT_LE(static_cast<std::int64_t>(spans[r]->arg), spans[r]->dur_us);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tribvote

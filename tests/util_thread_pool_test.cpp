@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace tribvote::util {
@@ -49,6 +51,28 @@ TEST(ThreadPool, ParallelForRethrows) {
                                    }
                                  }),
                std::logic_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // Task 0 throws at once while the others are still running. The call
+  // must not return (and release `fn` and what it captures) until every
+  // task is done.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 4;
+  std::vector<std::atomic<bool>> finished(kN);
+  EXPECT_THROW(pool.parallel_for(kN,
+                                 [&finished](std::size_t i) {
+                                   if (i == 0) {
+                                     throw std::runtime_error("task 0");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(50));
+                                   finished[i].store(true);
+                                 }),
+               std::runtime_error);
+  for (std::size_t i = 1; i < kN; ++i) {
+    EXPECT_TRUE(finished[i].load()) << "task " << i;
+  }
 }
 
 TEST(ThreadPool, ManyTasksAccumulate) {
