@@ -10,20 +10,19 @@ FrontPeerBarterAgent::FrontPeerBarterAgent(PeerId self,
       clique_(std::move(clique)),
       fake_mb_(fake_mb) {}
 
-std::vector<bartercast::BarterRecord> FrontPeerBarterAgent::outgoing_records(
-    const bt::LedgerView& ledger, Time now) const {
+void FrontPeerBarterAgent::outgoing_records(
+    const bt::LedgerView& ledger, Time now,
+    std::vector<bartercast::BarterRecord>& out) const {
   // Genuine records first (a mole behaves normally toward honest peers to
   // carry the fake flow outward)...
-  std::vector<bartercast::BarterRecord> records =
-      bartercast::BarterAgent::outgoing_records(ledger, now);
+  bartercast::BarterAgent::outgoing_records(ledger, now, out);
   // ...then the fabricated intra-clique uploads. They involve the sender,
   // so receivers cannot reject them on adjacency grounds.
   for (const PeerId other : clique_) {
     if (other == self_) continue;
-    records.push_back(bartercast::BarterRecord{self_, other, fake_mb_, now});
-    records.push_back(bartercast::BarterRecord{other, self_, fake_mb_, now});
+    out.push_back(bartercast::BarterRecord{self_, other, fake_mb_, now});
+    out.push_back(bartercast::BarterRecord{other, self_, fake_mb_, now});
   }
-  return records;
 }
 
 }  // namespace tribvote::attack

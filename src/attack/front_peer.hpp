@@ -24,8 +24,9 @@ class FrontPeerBarterAgent final : public bartercast::BarterAgent {
   FrontPeerBarterAgent(PeerId self, bartercast::BarterConfig config,
                        std::vector<PeerId> clique, double fake_mb);
 
-  [[nodiscard]] std::vector<bartercast::BarterRecord> outgoing_records(
-      const bt::LedgerView& ledger, Time now) const override;
+  void outgoing_records(
+      const bt::LedgerView& ledger, Time now,
+      std::vector<bartercast::BarterRecord>& out) const override;
 
  private:
   std::vector<PeerId> clique_;

@@ -13,30 +13,31 @@ const std::vector<bt::TransferRecord>& BarterAgent::direct_view(
   return view_cache_;
 }
 
-std::vector<BarterRecord> BarterAgent::outgoing_records(
-    const bt::LedgerView& ledger, Time now) const {
+void BarterAgent::outgoing_records(const bt::LedgerView& ledger, Time now,
+                                   std::vector<BarterRecord>& out) const {
   const std::uint64_t version = ledger.version(self_);
-  if (version == reported_version_) return report_cache_;
-  reported_version_ = version;
-  const std::vector<bt::TransferRecord>& view = direct_view(ledger, version);
-  // Largest transfers first — they carry the most flow information. The
-  // order is total (a view names each pair once), so the kept top records
-  // are exactly those of a full sort.
-  static thread_local std::vector<bt::TransferRecord> top;
-  top.resize(std::min(view.size(), config_.max_records_per_message));
-  std::partial_sort_copy(
-      view.begin(), view.end(), top.begin(), top.end(),
-      [](const bt::TransferRecord& a, const bt::TransferRecord& b) {
-        if (a.mb != b.mb) return a.mb > b.mb;
-        if (a.from != b.from) return a.from < b.from;
-        return a.to < b.to;
-      });
-  report_cache_.clear();
-  report_cache_.reserve(top.size());
-  for (const auto& r : top) {
-    report_cache_.push_back(BarterRecord{r.from, r.to, r.mb, now});
+  if (version != reported_version_) {
+    reported_version_ = version;
+    const std::vector<bt::TransferRecord>& view = direct_view(ledger, version);
+    // Largest transfers first — they carry the most flow information. The
+    // order is total (a view names each pair once), so the kept top records
+    // are exactly those of a full sort.
+    static thread_local std::vector<bt::TransferRecord> top;
+    top.resize(std::min(view.size(), config_.max_records_per_message));
+    std::partial_sort_copy(
+        view.begin(), view.end(), top.begin(), top.end(),
+        [](const bt::TransferRecord& a, const bt::TransferRecord& b) {
+          if (a.mb != b.mb) return a.mb > b.mb;
+          if (a.from != b.from) return a.from < b.from;
+          return a.to < b.to;
+        });
+    report_cache_.clear();
+    report_cache_.reserve(top.size());
+    for (const auto& r : top) {
+      report_cache_.push_back(BarterRecord{r.from, r.to, r.mb, now});
+    }
   }
-  return report_cache_;
+  out.assign(report_cache_.begin(), report_cache_.end());
 }
 
 void BarterAgent::sync_direct(const bt::LedgerView& ledger, Time now) {

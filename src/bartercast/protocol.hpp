@@ -53,11 +53,12 @@ class BarterAgent {
       : self_(self), config_(config) {}
   virtual ~BarterAgent() = default;
 
-  /// The records this node sends on an encounter: its own direct transfers,
-  /// largest volumes first, truncated to the message cap. Virtual so attack
-  /// models can fabricate claims.
-  [[nodiscard]] virtual std::vector<BarterRecord> outgoing_records(
-      const bt::LedgerView& ledger, Time now) const;
+  /// The records this node sends on an encounter, written over `out`: its
+  /// own direct transfers, largest volumes first, truncated to the message
+  /// cap. The caller owns `out`, so a reused buffer sends without
+  /// allocating. Virtual so attack models can append fabricated claims.
+  virtual void outgoing_records(const bt::LedgerView& ledger, Time now,
+                                std::vector<BarterRecord>& out) const;
 
   /// Refresh the agent's own direct edges from its local statistics.
   /// Cheap no-op when the ledger reports no change since the last sync.

@@ -113,6 +113,7 @@ ScenarioRunner::ScenarioRunner(trace::Trace trace, ScenarioConfig config,
   kernel_ = std::make_unique<sim::ShardKernel>(nodes_.size(), shards,
                                                shard_pool_.get());
   lane_stats_.assign(shards, RunStats{});
+  barter_records_.resize(shards);
   // "fault". Deriving is a pure read of rng_'s state, so a disabled plane
   // perturbs nothing.
   fault_plane_ = std::make_unique<sim::FaultPlane>(
@@ -856,24 +857,24 @@ void ScenarioRunner::barter_round() {
         if (f.drop_request) return;  // records are unsolicited; no re-offer
         bj.sync_direct(*ledger_, now);
 
-        std::vector<bartercast::BarterRecord> recs_i =
-            bi.outgoing_records(*ledger_, now);
-        probes_.barter_batch_size.observe(static_cast<double>(recs_i.size()));
+        // One buffer per lane carries both legs: the initiator's batch is
+        // merged before the responder's is written over it.
+        std::vector<bartercast::BarterRecord>& recs = barter_records_[lane];
+        bi.outgoing_records(*ledger_, now, recs);
+        probes_.barter_batch_size.observe(static_cast<double>(recs.size()));
         fs.barter.rejected +=
-            corrupt_barter_batch(recs_i, f.request_payload, f.payload_salt);
-        bj.receive(e.initiator, recs_i);
+            corrupt_barter_batch(recs, f.request_payload, f.payload_salt);
+        bj.receive(e.initiator, recs);
 
         if (!f.reply_lost()) {
-          std::vector<bartercast::BarterRecord> recs_j =
-              bj.outgoing_records(*ledger_, now);
-          probes_.barter_batch_size.observe(
-              static_cast<double>(recs_j.size()));
+          bj.outgoing_records(*ledger_, now, recs);
+          probes_.barter_batch_size.observe(static_cast<double>(recs.size()));
           const std::size_t damaged = corrupt_barter_batch(
-              recs_j, f.reply_payload, f.payload_salt + 1);
+              recs, f.reply_payload, f.payload_salt + 1);
           if (f.delay_reply > 0) {
             fault_plane_->defer(
                 lane, e.seq, f.delay_reply,
-                [this, recs_j = std::move(recs_j), i = e.initiator,
+                [this, recs_j = recs, i = e.initiator,
                  j = e.responder, damaged] {
                   sim::FaultStats& serial = fault_plane_->serial_stats();
                   if (!online_.is_online(i)) {
@@ -884,7 +885,7 @@ void ScenarioRunner::barter_round() {
                   serial.barter.rejected += damaged;
                 });
           } else {
-            bi.receive(e.responder, recs_j);
+            bi.receive(e.responder, recs);
             fs.barter.rejected += damaged;
           }
         }

@@ -278,6 +278,8 @@ class ScenarioRunner {
   std::unique_ptr<util::ThreadPool> shard_pool_;
   std::unique_ptr<sim::ShardKernel> kernel_;
   std::vector<RunStats> lane_stats_;
+  // One reusable BarterCast batch per lane (barter_round).
+  std::vector<std::vector<bartercast::BarterRecord>> barter_records_;
   // Network fault plane. Constructed unconditionally from a derived RNG
   // stream (deriving is a pure function of the parent seed); when disabled
   // it hands out all-clear verdicts that draw nothing, so the fault-free

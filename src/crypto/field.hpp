@@ -34,6 +34,11 @@ inline constexpr std::uint64_t kGenerator = 37;
 /// a^e mod p by square-and-multiply.
 [[nodiscard]] std::uint64_t pow_mod(std::uint64_t a, std::uint64_t e) noexcept;
 
+/// kGenerator^e mod p from a fixed-base table of g^(j * 16^i), built once:
+/// one multiply per 4-bit digit of e, 16 in all, against about 90 for
+/// pow_mod. Equal to pow_mod(kGenerator, e) for every e.
+[[nodiscard]] std::uint64_t pow_generator(std::uint64_t e) noexcept;
+
 /// Multiplicative inverse mod p (Fermat). Precondition: a != 0 (mod p).
 [[nodiscard]] std::uint64_t inv_mod(std::uint64_t a) noexcept;
 

@@ -16,6 +16,7 @@
 // DESIGN.md §2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -57,7 +58,14 @@ struct KeyPair {
 [[nodiscard]] Signature sign(const KeyPair& keys, std::uint64_t message_digest,
                              util::Rng& rng) noexcept;
 
-/// Verify a signature over a 64-bit message digest.
+/// Slots in each thread's verify memo (see verify).
+inline constexpr std::size_t kVerifyMemoSlots = 1024;
+
+/// Verify a signature over a 64-bit message digest. Each thread keeps a
+/// 40 KB direct-mapped memo of verdicts, keyed on the whole
+/// (pub.y, digest, sig.e, sig.s) tuple and compared in full, so a receiver
+/// re-checking a list it has already checked pays one lookup. A remembered
+/// verdict is the one the full check gives, rejections included.
 [[nodiscard]] bool verify(const PublicKey& pub, std::uint64_t message_digest,
                           const Signature& sig) noexcept;
 

@@ -37,10 +37,7 @@ void BallotBox::merge(PeerId voter, const std::vector<VoteEntry>& votes,
       // Same voter, same moderator: refresh opinion and timestamp.
       const Slot s = slots_[pos];
       Row& row = rows_[s];
-      if (row.opinion != v.opinion) {
-        tally_remove(v.moderator, row.opinion);
-        tally_add(v.moderator, v.opinion);
-      }
+      if (row.opinion != v.opinion) tally_stale_ = true;
       row.opinion = v.opinion;
       row.received = now;
       row.seq = next_seq_++;
@@ -56,7 +53,6 @@ void BallotBox::merge(PeerId voter, const std::vector<VoteEntry>& votes,
     if (rows_.size() >= b_max_) {
       s = oldest_;
       const Row& victim = rows_[s];
-      tally_remove(victim.moderator, victim.opinion);
       from = lower_bound(row_key(victim.voter, victim.moderator));
       if (sole_key_of_voter(from)) --distinct_voters_;
       unlink(s);
@@ -73,7 +69,7 @@ void BallotBox::merge(PeerId voter, const std::vector<VoteEntry>& votes,
                    v.cast_at, kNil,        kNil, v.opinion};
     link_by_recency(s);
     if (sole_key_of_voter(pos)) ++distinct_voters_;
-    tally_add(v.moderator, v.opinion);
+    tally_stale_ = true;
   }
   assert(invariants_hold());
 }
@@ -146,29 +142,6 @@ void BallotBox::link_by_recency(Slot s) {
   }
 }
 
-void BallotBox::tally_add(ModeratorId moderator, Opinion opinion) {
-  Tally& t = tally_[moderator];
-  if (opinion == Opinion::kPositive) {
-    ++t.positive;
-  } else {
-    ++t.negative;
-  }
-}
-
-void BallotBox::tally_remove(ModeratorId moderator, Opinion opinion) {
-  const auto it = tally_.find(moderator);
-  assert(it != tally_.end());
-  if (opinion == Opinion::kPositive) {
-    assert(it->second.positive > 0);
-    --it->second.positive;
-  } else {
-    assert(it->second.negative > 0);
-    --it->second.negative;
-  }
-  // Drop zeroed moderators so tally() equals the recomputed map exactly.
-  if (it->second.total() == 0) tally_.erase(it);
-}
-
 std::size_t BallotBox::purge_voters(
     const std::function<bool(PeerId)>& keep) {
   std::vector<bool> dropped(rows_.size(), false);
@@ -176,10 +149,10 @@ std::size_t BallotBox::purge_voters(
   for (const Slot s : slots_) {
     if (keep(rows_[s].voter)) continue;
     dropped[s] = true;
-    tally_remove(rows_[s].moderator, rows_[s].opinion);
     ++removed;
   }
   if (removed == 0) return 0;
+  tally_stale_ = true;
   // Survivors are renumbered in recency order, which relinks them as a
   // plain chain; the key index keeps its order and takes the new numbers.
   std::vector<Slot> renumbered(rows_.size(), kNil);
@@ -213,6 +186,14 @@ std::size_t BallotBox::purge_voters(
   slots_.resize(at);
   assert(invariants_hold());
   return removed;
+}
+
+const std::map<ModeratorId, Tally>& BallotBox::tally() const {
+  if (tally_stale_) {
+    tally_ = recompute_tally();
+    tally_stale_ = false;
+  }
+  return tally_;
 }
 
 std::map<ModeratorId, Tally> BallotBox::recompute_tally() const {
@@ -257,6 +238,7 @@ bool BallotBox::invariants_hold() const {
     ++visited;
   }
   if (visited != n || newest_ != prev) return false;
+  if (tally_stale_) return true;
   const auto expected = recompute_tally();
   return std::equal(tally_.begin(), tally_.end(), expected.begin(),
                     expected.end(), [](const auto& a, const auto& b) {

@@ -61,14 +61,15 @@ class BallotBox {
   [[nodiscard]] std::size_t capacity() const noexcept { return b_max_; }
 
   /// Aggregate votes per moderator (one vote per voter per moderator).
-  /// Maintained incrementally on merge/evict/purge — O(1) copy of the
-  /// running map, not an O(n) rebuild per call.
-  [[nodiscard]] const std::map<ModeratorId, Tally>& tally() const noexcept {
-    return tally_;
-  }
+  /// Computed from the rows on the first read after a merge or purge that
+  /// changed a vote, then memoized until the next such change. Not safe to
+  /// call concurrently on one box: the first read writes the memo. The
+  /// kernel runs each node on one lane at a time, so a box is never read
+  /// from two lanes at once.
+  [[nodiscard]] const std::map<ModeratorId, Tally>& tally() const;
 
-  /// O(n) tally rebuild from the raw entries — the reference the
-  /// incremental map is property-tested against.
+  /// O(n) tally rebuild from the raw entries, bypassing the memo — the
+  /// reference tally() is tested against.
   [[nodiscard]] std::map<ModeratorId, Tally> recompute_tally() const;
 
   /// The vote this box currently holds for (voter, moderator), if any —
@@ -105,7 +106,7 @@ class BallotBox {
   /// O(n log n) audit of the storage: keys strictly ascending by
   /// (voter, moderator), each naming its own row, within capacity; the
   /// recency list holding every row once in (received, seq) order; the
-  /// distinct-voter count matching the keys; and tally() equal to
+  /// distinct-voter count matching the keys; and a memoized tally equal to
   /// recompute_tally().
   [[nodiscard]] bool invariants_hold() const;
 
@@ -129,8 +130,6 @@ class BallotBox {
   void move_key(std::size_t from, std::size_t to);
   void unlink(Slot s);
   void link_by_recency(Slot s);
-  void tally_add(ModeratorId moderator, Opinion opinion);
-  void tally_remove(ModeratorId moderator, Opinion opinion);
 
   std::size_t b_max_;
   std::uint64_t next_seq_ = 0;
@@ -140,7 +139,8 @@ class BallotBox {
   Slot oldest_ = kNil;  // recency list head: the next eviction victim
   Slot newest_ = kNil;
   std::size_t distinct_voters_ = 0;
-  std::map<ModeratorId, Tally> tally_;  // incremental mirror of rows_
+  mutable std::map<ModeratorId, Tally> tally_;  // memo of recompute_tally()
+  mutable bool tally_stale_ = false;
 };
 
 }  // namespace tribvote::vote

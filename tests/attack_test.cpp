@@ -99,7 +99,8 @@ TEST(FrontPeerTest, FabricatesIntraCliqueRecords) {
   bt::TransferLedger ledger(5);
   ledger.add_transfer(3, 0, 2.0 * 1024 * 1024);  // one genuine record
   FrontPeerBarterAgent mole(3, bartercast::BarterConfig{}, {3, 4}, 500.0);
-  const auto records = mole.outgoing_records(ledger, 10);
+  std::vector<bartercast::BarterRecord> records;
+  mole.outgoing_records(ledger, 10, records);
   // 1 genuine + 2 fabricated (3->4 and 4->3).
   ASSERT_EQ(records.size(), 3u);
   int fakes = 0;
@@ -116,7 +117,9 @@ TEST(FrontPeerTest, GenuineBehaviourUnderneath) {
   bt::TransferLedger ledger(5);
   FrontPeerBarterAgent mole(3, bartercast::BarterConfig{}, {3}, 500.0);
   // Clique of one: no fakes, only (empty) genuine records.
-  EXPECT_TRUE(mole.outgoing_records(ledger, 10).empty());
+  std::vector<bartercast::BarterRecord> records{{0, 1, 1.0, 0}};
+  mole.outgoing_records(ledger, 10, records);
+  EXPECT_TRUE(records.empty());  // the buffer is overwritten, not appended
 }
 
 }  // namespace

@@ -158,7 +158,8 @@ TEST_F(BarterAgentTest, OutgoingRecordsAreOwnDirectTransfers) {
   ledger_.add_transfer(2, 0, 5.0 * 1024 * 1024);
   ledger_.add_transfer(2, 3, 99.0 * 1024 * 1024);  // not adjacent to 0
   BarterAgent agent(0, BarterConfig{});
-  const auto records = agent.outgoing_records(ledger_, 100);
+  std::vector<BarterRecord> records;
+  agent.outgoing_records(ledger_, 100, records);
   ASSERT_EQ(records.size(), 2u);
   for (const auto& r : records) {
     EXPECT_TRUE(r.from == 0 || r.to == 0);
@@ -173,7 +174,8 @@ TEST_F(BarterAgentTest, MessageCapKeepsLargest) {
     ledger_.add_transfer(0, p, static_cast<double>(p) * 1024 * 1024);
   }
   BarterAgent agent(0, config);
-  const auto records = agent.outgoing_records(ledger_, 1);
+  std::vector<BarterRecord> records;
+  agent.outgoing_records(ledger_, 1, records);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_DOUBLE_EQ(records[0].mb, 5.0);
   EXPECT_DOUBLE_EQ(records[1].mb, 4.0);
@@ -226,7 +228,9 @@ TEST_F(BarterAgentTest, SyncAfterAnUnsyncedReportAppliesTheWholeView) {
   // skip the records that view already held.
   ledger_.add_transfer(1, 0, 3.0 * 1024 * 1024);
   BarterAgent agent(0, BarterConfig{});
-  EXPECT_EQ(agent.outgoing_records(ledger_, 1).size(), 1u);
+  std::vector<BarterRecord> records;
+  agent.outgoing_records(ledger_, 1, records);
+  EXPECT_EQ(records.size(), 1u);
   ledger_.add_transfer(2, 0, 5.0 * 1024 * 1024);
   agent.sync_direct(ledger_, 2);
   EXPECT_DOUBLE_EQ(agent.graph().edge_mb(1, 0), 3.0);
@@ -410,9 +414,12 @@ TEST(FrontPeerAttack, MaxFlowResistsWhereNaiveFails) {
 
   attack::FrontPeerBarterAgent mole(3, BarterConfig{}, {3, 4, 5},
                                     /*fake_mb=*/1000.0);
-  honest.receive(3, mole.outgoing_records(ledger, 2));
+  std::vector<BarterRecord> records;
+  mole.outgoing_records(ledger, 2, records);
+  honest.receive(3, records);
   attack::FrontPeerBarterAgent shill(4, BarterConfig{}, {3, 4, 5}, 1000.0);
-  honest.receive(4, shill.outgoing_records(ledger, 3));
+  shill.outgoing_records(ledger, 3, records);
+  honest.receive(4, records);
 
   // Naive metric (sum of claimed upload) is wildly inflated...
   EXPECT_GE(honest.naive_contribution_of(4), 1000.0);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <thread>
+#include <vector>
+
 #include "crypto/field.hpp"
 #include "crypto/schnorr.hpp"
 #include "util/rng.hpp"
@@ -36,6 +40,25 @@ TEST(Field, PowModAgreesWithRepeatedMultiplication) {
   for (std::uint64_t e = 0; e < 20; ++e) {
     EXPECT_EQ(pow_mod(3, e), acc);
     acc = mul_mod(acc, 3);
+  }
+}
+
+TEST(Field, PowGeneratorMatchesSquareAndMultiply) {
+  // q - 1 is the largest exponent keygen and sign draw; ~0 has every
+  // 4-bit digit at 15.
+  const std::uint64_t edges[] = {0,           1,      15,
+                                 16,          kGroupOrder - 1,
+                                 kGroupOrder, kPrime, ~0ULL,
+                                 0x0FFFFFFFFFFFFFFFULL,
+                                 0x1111111111111111ULL};
+  for (const std::uint64_t e : edges) {
+    EXPECT_EQ(pow_generator(e), pow_mod(kGenerator, e)) << "e=" << e;
+  }
+  util::Rng rng(12);
+  for (int i = 0; i < 10000; ++i) {
+    // Half full-width exponents, half in the exponent ring mod q.
+    const std::uint64_t e = i % 2 == 0 ? rng() : rng() % kGroupOrder;
+    ASSERT_EQ(pow_generator(e), pow_mod(kGenerator, e)) << "e=" << e;
   }
 }
 
@@ -152,6 +175,116 @@ TEST(Schnorr, NoncesMakeSignaturesDistinct) {
 TEST(Schnorr, DistinctSeedsDistinctKeys) {
   util::Rng r1(100), r2(101);
   EXPECT_NE(generate_keypair(r1).pub.y, generate_keypair(r2).pub.y);
+}
+
+// ---- verify memo -------------------------------------------------------------
+
+/// A signed tuple with its expected verdict.
+struct Case {
+  PublicKey pub;
+  std::uint64_t digest = 0;
+  Signature sig;
+  bool valid = false;
+};
+
+/// `n` tuples from `keys` distinct keys: every third one damaged in one word.
+std::vector<Case> make_cases(std::size_t n, std::size_t keys,
+                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<KeyPair> pairs;
+  for (std::size_t k = 0; k < keys; ++k) pairs.push_back(generate_keypair(rng));
+  std::vector<Case> cases;
+  for (std::size_t i = 0; i < n; ++i) {
+    const KeyPair& kp = pairs[i % keys];
+    Case c{kp.pub, rng(), Signature{}, true};
+    c.sig = sign(kp, c.digest, rng);
+    if (i % 3 == 2) {
+      c.digest ^= 1ULL << (i % 64);
+      c.valid = false;
+    }
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(SchnorrMemo, ChangingAnyWordOfAMemoizedTupleIsRejected) {
+  util::Rng rng(13);
+  const KeyPair keys = generate_keypair(rng);
+  const std::uint64_t digest = rng();
+  const Signature sig = sign(keys, digest, rng);
+  // Enough tampered values per word that some share the valid tuple's memo
+  // slot, and re-memoize the valid tuple before each: a memo that skipped a
+  // word would answer that tamper with the valid verdict.
+  constexpr int kTampers = 8 * static_cast<int>(kVerifyMemoSlots);
+  for (int word = 0; word < 4; ++word) {
+    for (int t = 0; t < kTampers; ++t) {
+      ASSERT_TRUE(verify(keys.pub, digest, sig));
+      PublicKey pub = keys.pub;
+      std::uint64_t d = digest;
+      Signature s = sig;
+      switch (word) {
+        case 0: pub.y = 1 + rng() % (kPrime - 1); break;
+        case 1: d = rng(); break;
+        case 2: s.e = 1 + rng() % (kGroupOrder - 1); break;
+        default: s.s = rng() % kGroupOrder; break;
+      }
+      if (pub == keys.pub && d == digest && s == sig) continue;
+      ASSERT_FALSE(verify(pub, d, s)) << "word " << word << " tamper " << t;
+    }
+  }
+}
+
+TEST(SchnorrMemo, RejectedTupleStaysRejectedWhenRepeated) {
+  util::Rng rng(14);
+  const KeyPair keys = generate_keypair(rng);
+  const Signature sig = sign(keys, 99, rng);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(verify(keys.pub, 100, sig)) << "repeat " << i;
+    EXPECT_TRUE(verify(keys.pub, 99, sig)) << "repeat " << i;
+  }
+}
+
+TEST(SchnorrMemo, VerdictsHoldWhenTuplesOutnumberTheSlots) {
+  const std::vector<Case> cases = make_cases(4 * kVerifyMemoSlots, 50, 15);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      ASSERT_EQ(verify(c.pub, c.digest, c.sig), c.valid)
+          << "pass " << pass << " case " << i;
+    }
+  }
+  // Backwards too, so slots are re-filled in a different order.
+  for (std::size_t i = cases.size(); i-- > 0;) {
+    const Case& c = cases[i];
+    ASSERT_EQ(verify(c.pub, c.digest, c.sig), c.valid) << "case " << i;
+  }
+}
+
+TEST(SchnorrMemo, ConcurrentThreadsGiveTheSameVerdicts) {
+  const std::vector<Case> cases = make_cases(3 * kVerifyMemoSlots, 20, 16);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<char>> verdicts(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cases, &out = verdicts[t], t] {
+      // Each thread walks the cases from its own offset, twice.
+      for (int pass = 0; pass < 2; ++pass) {
+        out.assign(cases.size(), 0);
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          const std::size_t i = (k + t * 997) % cases.size();
+          const Case& c = cases[i];
+          out[i] = verify(c.pub, c.digest, c.sig) ? 1 : 0;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      ASSERT_EQ(verdicts[t][i] != 0, cases[i].valid)
+          << "thread " << t << " case " << i;
+    }
+  }
 }
 
 // Property sweep: roundtrip holds across many independent identities.

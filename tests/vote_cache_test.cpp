@@ -3,7 +3,7 @@
 // Covers: vote-list version semantics, cache hit/invalidation/off, the
 // partial-selection rewrite against a reference full sort, the digest
 // codec, delta-vs-full semantic equivalence, deterministic counterpart
-// eviction, the incremental BallotBox tally against an O(n) recompute, and
+// eviction, the memoized BallotBox tally against an O(n) recompute, and
 // wire-fault behaviour of every gossip frame (damaged digest → full
 // fallback, damaged delta/full → wholesale rejection, nothing merged).
 #include <gtest/gtest.h>
@@ -118,7 +118,7 @@ TEST(PartialSelection, ByteIdenticalToFullSortAcrossPoliciesAndSeeds) {
   }
 }
 
-// ---- incremental tally -----------------------------------------------------
+// ---- memoized tally ---------------------------------------------------------
 
 TEST(IncrementalTally, MatchesRecomputeUnderMergeEvictPurge) {
   util::Rng rng(5);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "vote/agent.hpp"
 #include "vote/ballot_box.hpp"
@@ -149,6 +152,41 @@ TEST(BallotBox, TallyAggregatesAcrossVoters) {
   EXPECT_EQ(tally.at(7).negative, 1u);
   EXPECT_EQ(tally.at(7).total(), 3u);
   EXPECT_EQ(tally.at(8).negative, 1u);
+}
+
+/// (moderator, positive, negative) per tallied moderator, in order.
+using Rows = std::vector<std::tuple<ModeratorId, std::uint32_t, std::uint32_t>>;
+
+Rows rows_of(const std::map<ModeratorId, Tally>& tally) {
+  Rows rows;
+  for (const auto& [m, t] : tally) rows.emplace_back(m, t.positive, t.negative);
+  return rows;
+}
+
+TEST(BallotBox, TallyReadAfterEachChangeSeesIt) {
+  // tally() is memoized between reads; each change below must reach the
+  // next read, which is taken after the memo was filled.
+  BallotBox box(3);
+  box.merge(1, {{10, Opinion::kPositive, 1}}, 10);
+  box.merge(2, {{10, Opinion::kPositive, 1}}, 20);
+  box.merge(3, {{10, Opinion::kPositive, 1}}, 30);
+  EXPECT_EQ(rows_of(box.tally()), (Rows{{10, 3, 0}}));
+  // A refresh with the same opinion moves voter 2 to the tail and leaves
+  // the tally as it was.
+  box.merge(2, {{10, Opinion::kPositive, 2}}, 35);
+  EXPECT_EQ(rows_of(box.tally()), (Rows{{10, 3, 0}}));
+
+  box.merge(3, {{10, Opinion::kNegative, 2}}, 40);  // flips an opinion
+  EXPECT_EQ(rows_of(box.tally()), (Rows{{10, 2, 1}}));
+
+  box.merge(4, {{11, Opinion::kPositive, 1}}, 50);  // evicts voter 1
+  EXPECT_FALSE(box.find(1, 10));
+  EXPECT_EQ(rows_of(box.tally()), (Rows{{10, 1, 1}, {11, 1, 0}}));
+
+  EXPECT_EQ(box.purge_voters([](PeerId v) { return v != 3; }), 1u);
+  EXPECT_EQ(rows_of(box.tally()), (Rows{{10, 1, 0}, {11, 1, 0}}));
+  EXPECT_EQ(rows_of(box.tally()), rows_of(box.recompute_tally()));
+  EXPECT_TRUE(box.invariants_hold());
 }
 
 TEST(BallotBox, DispersionZeroOnConsensus) {
