@@ -93,7 +93,6 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
                                 bool streaming) {
   core::ScenarioConfig config;  // paper defaults
   config.shards = bench::shard_count();
-  config.ledger = bench::ledger_backend();
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();

@@ -132,7 +132,6 @@ struct GossipOutcome {
 GossipOutcome run_gossip(const trace::Trace& tr, std::uint64_t seed) {
   core::ScenarioConfig config;
   config.shards = bench::shard_count();
-  config.ledger = bench::ledger_backend();
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();

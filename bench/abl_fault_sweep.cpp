@@ -90,7 +90,6 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
                                 double loss) {
   core::ScenarioConfig config;  // paper defaults
   config.shards = bench::shard_count();
-  config.ledger = bench::ledger_backend();
   config.faults = faults_for(loss);
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();

@@ -36,7 +36,6 @@ core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index,
                                 const Config& cfg) {
   core::ScenarioConfig config;
   config.shards = bench::shard_count();
-  config.ledger = bench::ledger_backend();
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();

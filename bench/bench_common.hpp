@@ -6,7 +6,7 @@
 //
 // Environment knobs are shared across all harness binaries and documented
 // once in src/sim/options.hpp (TRIBVOTE_REPLICAS, TRIBVOTE_ABL_REPLICAS,
-// TRIBVOTE_SEED, TRIBVOTE_SHARDS, TRIBVOTE_LEDGER); the inline wrappers
+// TRIBVOTE_SEED, TRIBVOTE_SHARDS); the inline wrappers
 // below keep the bench::-local names the figure binaries use.
 #pragma once
 
@@ -34,13 +34,6 @@ inline std::size_t ablation_replica_count() {
 /// Worker shards for each replica's population event kernel
 /// (ScenarioConfig::shards). Golden CSVs are byte-identical for any value.
 inline std::size_t shard_count() { return sim::options::shards(); }
-
-/// Contribution-ledger backend (ScenarioConfig::ledger). Goldens are
-/// recorded on the map backend; the sharded_log backend reproduces the
-/// same metrics (bit-identical accounting, see bt/sharded_log_ledger.hpp).
-inline bt::LedgerBackend ledger_backend() {
-  return sim::options::ledger_backend();
-}
 
 /// Network fault plane (ScenarioConfig::faults, via TRIBVOTE_FAULTS).
 /// Goldens are recorded with faults off; a faulty run is still
@@ -72,10 +65,10 @@ inline void banner(const char* experiment, const char* paper_ref) {
   std::printf("%s\n", experiment);
   std::printf("reproduces: %s\n", paper_ref);
   std::printf(
-      "replicas=%zu seed=%llu shards=%zu ledger=%s faults=%s telemetry=%s "
+      "replicas=%zu seed=%llu shards=%zu faults=%s telemetry=%s "
       "gossip_cache=%s\n",
       replica_count(), static_cast<unsigned long long>(env_seed()),
-      shard_count(), bt::ledger_backend_name(ledger_backend()),
+      shard_count(),
       sim::describe(fault_config()).c_str(),
       telemetry::describe(telemetry_config()).c_str(),
       gossip_cache() ? "on" : "off");

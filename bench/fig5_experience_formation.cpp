@@ -26,7 +26,6 @@ constexpr std::array<double, 5> kThresholdsMb{1.0, 5.0, 10.0, 25.0, 50.0};
 core::ReplicaResult run_replica(const trace::Trace& tr, std::size_t index) {
   core::ScenarioConfig config;
   config.shards = bench::shard_count();
-  config.ledger = bench::ledger_backend();
   config.faults = bench::fault_config();
   config.telemetry = bench::telemetry_config();
   config.vote.gossip_cache = bench::gossip_cache();

@@ -13,9 +13,7 @@
 #include "bartercast/subjective_graph.hpp"
 #include "bt/ledger.hpp"
 #include "bt/piece_picker.hpp"
-#include "bt/sharded_log_ledger.hpp"
 #include "bt/swarm.hpp"
-#include "bt/transfer_ledger.hpp"
 #include "core/node.hpp"
 #include "core/runner.hpp"
 #include "crypto/schnorr.hpp"
@@ -136,7 +134,7 @@ BENCHMARK(BM_MaxflowEdmondsKarp3Hop)->Arg(400)->Arg(2000);
 /// A gossip-converged population of BarterCast agents over a random
 /// transfer matrix, as the CEV measurements see it.
 struct BarterPopulation {
-  bt::TransferLedger ledger;
+  bt::Ledger ledger;
   std::vector<std::unique_ptr<bartercast::BarterAgent>> agents;
   std::vector<const bartercast::BarterAgent*> ptrs;
 
@@ -386,7 +384,7 @@ BENCHMARK(BM_OutgoingVotes)->ArgNames({"cache"})->Arg(0)->Arg(1);
 /// Wire bytes per steady-state gossip leg: cache off (arg 0) re-sends the
 /// full signed vote list every encounter; cache on (arg 1) opens with a
 /// digest and — once the counterpart holds everything — closes digest-only.
-/// bytes_per_leg and delta_fraction are the BENCH_micro gossip-bytes rows.
+/// bytes_per_leg and delta_fraction are reported as user counters.
 void BM_GossipBytes(benchmark::State& state) {
   GossipPair pair(state.range(0) != 0, 40);
   std::uint64_t bytes = 0, deltas = 0, legs = 0;
@@ -476,7 +474,7 @@ void BM_SwarmTick(benchmark::State& state) {
   spec.size_mb = 256;
   spec.piece_kb = 1024;
   spec.initial_seeder = 0;
-  bt::TransferLedger ledger(members);
+  bt::Ledger ledger(members);
   bt::BandwidthAllocator bandwidth(std::vector<double>(members, 96.0),
                                    std::vector<double>(members, 768.0));
   bt::Swarm swarm(spec, peers, ledger, bandwidth, util::Rng(13));
@@ -488,28 +486,19 @@ void BM_SwarmTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SwarmTick)->Arg(8)->Arg(32);
 
-/// Ledger backend throughput, args = {peers, backend, mix} with backend
-/// 0 = map, 1 = sharded_log (4 shards). items/sec == transfers/sec.
+/// Ledger throughput, args = {peers, mix}. items/sec == transfers/sec.
 ///
 /// mix:0 times the append path alone — the cost add_transfer puts on the
-/// tick's critical path; the sharded backend's compaction is drained
-/// outside the timer, the way production defers it to round barriers.
-/// mix:1 times the whole lifecycle (append + compaction + a point/total
-/// query mix), the honest total-work comparison.
-///
-/// The acceptance target is the mix:0 sharded_log row ≥2× the map row at
-/// 10⁶ peers: a map append is ~6 dependent cache misses (two per-peer hash
-/// maps plus four scattered arrays), a log append is two sequential
-/// vector pushes.
+/// swarm tick's critical path. mix:1 adds a point/total query mix after
+/// each batch.
 void BM_LedgerThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto backend = static_cast<bt::LedgerBackend>(state.range(1));
-  const bool full_mix = state.range(2) != 0;
+  const bool full_mix = state.range(1) != 0;
   constexpr std::size_t kBatch = 1 << 16;
   constexpr std::size_t kQueries = 1024;
   // Pre-generated stream (RNG cost out of the measured loop); reusing it
-  // every iteration keeps the touched pair set — and so the map backend's
-  // node count — stable after the first iteration.
+  // every iteration keeps the touched pair set — and so the row sizes —
+  // stable after the first iteration.
   struct Xfer {
     PeerId from, to;
     double bytes;
@@ -522,53 +511,33 @@ void BM_LedgerThroughput(benchmark::State& state) {
     if (x.to == x.from) x.to = static_cast<PeerId>((x.to + 1) % n);
     x.bytes = rng.next_double(0.1, 10.0) * 1024 * 1024;
   }
-  // For the append-path rows the sharded log gets a threshold above the
-  // batch size so no compaction lands inside the timed region.
-  std::unique_ptr<bt::Ledger> ledger;
-  if (backend == bt::LedgerBackend::kShardedLog && !full_mix) {
-    ledger = std::make_unique<bt::ShardedLogLedger>(n, /*shards=*/4,
-                                                    /*compact_threshold=*/
-                                                    4 * kBatch);
-  } else {
-    ledger = bt::make_ledger(backend, n, /*shards=*/4);
-  }
+  bt::Ledger ledger(n);
   util::Rng query_rng(32);
   for (auto _ : state) {
     for (const Xfer& x : stream) {
-      ledger->add_transfer(x.from, x.to, x.bytes);
+      ledger.add_transfer(x.from, x.to, x.bytes);
     }
     if (full_mix) {
-      ledger->flush();
       double acc = 0;
       for (std::size_t q = 0; q < kQueries; ++q) {
         const auto p = static_cast<PeerId>(query_rng.next_below(n));
-        acc += ledger->total_uploaded_mb(p);
-        acc += ledger->uploaded_mb(p, static_cast<PeerId>((p + 1) % n));
+        acc += ledger.total_uploaded_mb(p);
+        acc += ledger.uploaded_mb(p, static_cast<PeerId>((p + 1) % n));
       }
       benchmark::DoNotOptimize(acc);
-    } else {
-      state.PauseTiming();
-      ledger->flush();  // barrier-side compaction, untimed
-      state.ResumeTiming();
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_LedgerThroughput)
-    ->ArgNames({"peers", "backend", "mix"})
-    ->Args({10'000, 0, 0})
-    ->Args({10'000, 1, 0})
-    ->Args({100'000, 0, 0})
-    ->Args({100'000, 1, 0})
-    ->Args({1'000'000, 0, 0})
-    ->Args({1'000'000, 1, 0})
-    ->Args({10'000, 0, 1})
-    ->Args({10'000, 1, 1})
-    ->Args({100'000, 0, 1})
-    ->Args({100'000, 1, 1})
-    ->Args({1'000'000, 0, 1})
-    ->Args({1'000'000, 1, 1})
+    ->ArgNames({"peers", "mix"})
+    ->Args({10'000, 0})
+    ->Args({100'000, 0})
+    ->Args({1'000'000, 0})
+    ->Args({10'000, 1})
+    ->Args({100'000, 1})
+    ->Args({1'000'000, 1})
     ->Unit(benchmark::kMillisecond);
 
 /// Cost of the telemetry hot path per instrumented operation, at each mode:

@@ -17,7 +17,6 @@
 //     --core N             pre-converged core size        (default 20; used
 //                          when the adversary fields a spam moderator)
 //     --shards N           population worker shards       (default TRIBVOTE_SHARDS or 1)
-//     --ledger NAME        ledger backend map|sharded_log (default TRIBVOTE_LEDGER or map)
 //     --gossip-cache on|off  vote-history cache + delta gossip
 //                            (default TRIBVOTE_GOSSIP_CACHE or on)
 //     --sample HOURS       sampling period                (default 2)
@@ -47,10 +46,12 @@
 //
 // The TRIBVOTE_* environment knobs (src/sim/options.hpp) provide the
 // defaults where noted, so scripted sweeps can steer the CLI the same way
-// they steer the figure benches.
+// they steer the figure benches. Flags are scanned by the strict
+// sim::options::CliFlags parser: an unknown flag, a missing value or a
+// malformed one prints the usage and exits 2 before any scenario runs.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,6 @@ struct Options {
   bool newscast = false;
   std::size_t core = 20;
   std::size_t shards = sim::options::shards();
-  bt::LedgerBackend ledger = sim::options::ledger_backend();
   bool gossip_cache = sim::options::gossip_cache();
   Duration sample = 2 * kHour;
   std::string csv = "scenario_cli.csv";
@@ -92,7 +92,7 @@ struct Options {
                "usage: %s [--trace FILE] [--seed N] [--peers N] [--days N] "
                "[--threshold MB]\n"
                "          [--adaptive] [--newscast] [--core N] "
-               "[--shards N] [--ledger map|sharded_log] "
+               "[--shards N] "
                "[--gossip-cache on|off]\n"
                "          [--sample HOURS] [--csv FILE]\n"
                "          [--loss P] [--delay-rate P] [--max-delay S] "
@@ -106,114 +106,73 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0]);
-    return argv[++i];
+  sim::options::CliFlags cli(argc, argv);
+  std::string value;
+  double hours = 0;
+  // Report a spec flag's parser error and exit.
+  const auto bad = [&](const std::string& error) {
+    std::fprintf(stderr, "bad %s: %s\n", cli.flag().c_str(), error.c_str());
+    usage(argv[0]);
   };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (!std::strcmp(arg, "--trace")) {
-      opt.trace_file = need_value(i);
-    } else if (!std::strcmp(arg, "--seed")) {
-      opt.seed = std::strtoull(need_value(i), nullptr, 10);
-    } else if (!std::strcmp(arg, "--peers")) {
-      opt.peers = static_cast<std::uint32_t>(
-          std::strtoul(need_value(i), nullptr, 10));
-    } else if (!std::strcmp(arg, "--days")) {
-      opt.days = std::atoi(need_value(i));
-    } else if (!std::strcmp(arg, "--threshold")) {
-      opt.threshold_mb = std::atof(need_value(i));
-    } else if (!std::strcmp(arg, "--adaptive")) {
+  while (cli.next()) {
+    std::string error;
+    if (cli.value("--trace", opt.trace_file) ||
+        cli.u64("--seed", opt.seed) || cli.u32("--peers", opt.peers) ||
+        cli.i32("--days", opt.days) ||
+        cli.f64("--threshold", opt.threshold_mb) ||
+        cli.size("--core", opt.core) || cli.size("--shards", opt.shards) ||
+        cli.value("--trace-out", opt.telemetry.trace_out) ||
+        cli.value("--telemetry-csv", opt.telemetry.csv_out) ||
+        cli.value("--csv", opt.csv)) {
+    } else if (cli.is_switch("--adaptive")) {
       opt.adaptive = true;
-    } else if (!std::strcmp(arg, "--newscast")) {
+    } else if (cli.is_switch("--newscast")) {
       opt.newscast = true;
-    } else if (!std::strcmp(arg, "--core")) {
-      opt.core = std::strtoull(need_value(i), nullptr, 10);
-    } else if (!std::strcmp(arg, "--shards")) {
-      opt.shards = std::strtoull(need_value(i), nullptr, 10);
-    } else if (!std::strcmp(arg, "--ledger")) {
-      const char* name = need_value(i);
-      const auto backend = bt::parse_ledger_backend(name);
-      if (!backend) {
-        std::fprintf(stderr, "unknown ledger backend: %s\n", name);
-        usage(argv[0]);
-      }
-      opt.ledger = *backend;
-    } else if (!std::strcmp(arg, "--gossip-cache")) {
-      const char* value = need_value(i);
-      if (!std::strcmp(value, "on")) {
-        opt.gossip_cache = true;
-      } else if (!std::strcmp(value, "off")) {
-        opt.gossip_cache = false;
-      } else {
-        std::fprintf(stderr, "bad --gossip-cache (want on|off): %s\n", value);
-        usage(argv[0]);
-      }
-    } else if (!std::strcmp(arg, "--loss") ||
-               !std::strcmp(arg, "--delay-rate") ||
-               !std::strcmp(arg, "--max-delay") ||
-               !std::strcmp(arg, "--crash-rate") ||
-               !std::strcmp(arg, "--corrupt-rate")) {
+    } else if (cli.f64("--sample", hours)) {
+      opt.sample = static_cast<Duration>(hours * static_cast<double>(kHour));
+    } else if (cli.value("--gossip-cache", value)) {
+      if (value != "on" && value != "off") bad("want on|off, got " + value);
+      opt.gossip_cache = value == "on";
+    } else if (cli.value("--loss", value) ||
+               cli.value("--delay-rate", value) ||
+               cli.value("--max-delay", value) ||
+               cli.value("--crash-rate", value) ||
+               cli.value("--corrupt-rate", value)) {
       // Reuse the TRIBVOTE_FAULTS spec parser so the flags and the env
       // knob validate identically.
-      std::string spec(arg + 2);
+      std::string spec = cli.flag().substr(2);
       std::replace(spec.begin(), spec.end(), '-', '_');
-      spec += '=';
-      spec += need_value(i);
-      std::string error;
-      if (!sim::parse_fault_spec(spec, opt.faults, &error)) {
-        std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
-        usage(argv[0]);
+      if (!sim::parse_fault_spec(spec + '=' + value, opt.faults, &error)) {
+        bad(error);
       }
-    } else if (!std::strcmp(arg, "--impair")) {
+    } else if (cli.value("--impair", value)) {
       // Validate with the net:: parser, then project the chaos spec onto
       // the sim fault plane so A11-class runs accept the A12 spec string:
       // both planes share the chaos model, and the two net-only verdicts
       // map onto their nearest sim analogues.
       net::ImpairConfig impair;
-      std::string error;
-      if (!net::parse_impair_spec(need_value(i), impair, &error)) {
-        std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
-        usage(argv[0]);
-      }
+      if (!net::parse_impair_spec(value, impair, &error)) bad(error);
       static_cast<util::ChaosModel&>(opt.faults) = impair;
       opt.faults.corrupt_rate =
           std::min(1.0, impair.corrupt_rate + impair.truncate_rate);
       opt.faults.crash_rate = impair.stall_rate;
-    } else if (!std::strcmp(arg, "--adversary")) {
-      std::string error;
+    } else if (cli.value("--adversary", value)) {
       opt.adversary = adversary::AdversaryConfig{};  // flag overrides env
-      if (!adversary::parse_adversary_spec(need_value(i), opt.adversary,
-                                           &error)) {
-        std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
-        usage(argv[0]);
+      if (!adversary::parse_adversary_spec(value, opt.adversary, &error)) {
+        bad(error);
       }
-    } else if (!std::strcmp(arg, "--streaming")) {
-      std::string error;
-      if (!bt::parse_streaming_spec(need_value(i), opt.streaming, &error)) {
-        std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
-        usage(argv[0]);
-      }
-    } else if (!std::strcmp(arg, "--telemetry")) {
+    } else if (cli.value("--streaming", value)) {
+      if (!bt::parse_streaming_spec(value, opt.streaming, &error)) bad(error);
+    } else if (cli.value("--telemetry", value)) {
       // Reuse the TRIBVOTE_TELEMETRY spec parser; the flag accepts the
       // full spec grammar, so "--telemetry trace,csv=rounds.csv" works.
-      std::string error;
-      if (!telemetry::parse_telemetry_spec(need_value(i), opt.telemetry,
-                                           &error)) {
-        std::fprintf(stderr, "bad %s: %s\n", arg, error.c_str());
-        usage(argv[0]);
+      if (!telemetry::parse_telemetry_spec(value, opt.telemetry, &error)) {
+        bad(error);
       }
-    } else if (!std::strcmp(arg, "--trace-out")) {
-      opt.telemetry.trace_out = need_value(i);
-    } else if (!std::strcmp(arg, "--telemetry-csv")) {
-      opt.telemetry.csv_out = need_value(i);
-    } else if (!std::strcmp(arg, "--sample")) {
-      opt.sample = static_cast<Duration>(
-          std::atof(need_value(i)) * static_cast<double>(kHour));
-    } else if (!std::strcmp(arg, "--csv")) {
-      opt.csv = need_value(i);
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg);
+      std::fprintf(stderr, "%s option: %s\n",
+                   cli.error() ? "missing or malformed value for" : "unknown",
+                   cli.flag().c_str());
       usage(argv[0]);
     }
   }
@@ -254,7 +213,6 @@ int main(int argc, char** argv) {
   config.pss =
       opt.newscast ? core::PssKind::kNewscast : core::PssKind::kOracle;
   config.shards = opt.shards;
-  config.ledger = opt.ledger;
   config.vote.gossip_cache = opt.gossip_cache;
   config.faults = opt.faults;
   config.telemetry = opt.telemetry;
@@ -266,12 +224,12 @@ int main(int argc, char** argv) {
   core::ScenarioRunner runner(tr, config, opt.seed ^ 0xC11);
   // Everything needed to reproduce this run from its console output alone,
   // including the effective fault and telemetry configuration.
-  std::printf("run: seed=%llu scenario-seed=%llu shards=%zu ledger=%s "
+  std::printf("run: seed=%llu scenario-seed=%llu shards=%zu "
               "gossip_cache=%s threshold=%g pss=%s%s faults=%s "
               "telemetry=%s adversary=%s streaming=%s\n",
               static_cast<unsigned long long>(opt.seed),
               static_cast<unsigned long long>(opt.seed ^ 0xC11),
-              runner.shard_count(), bt::ledger_backend_name(opt.ledger),
+              runner.shard_count(),
               opt.gossip_cache ? "on" : "off", opt.threshold_mb,
               opt.newscast ? "newscast" : "oracle",
               opt.adaptive ? " adaptive" : "",

@@ -515,6 +515,7 @@ int main(int argc, char** argv) {
   sim::options::CliFlags cli(argc, argv);
   while (cli.next()) {
     std::uint32_t id = 0;
+    std::uint16_t port = 0;
     if (cli.is_switch("--oracle")) {
       opt.oracle = true;
     } else if (cli.is_switch("--swarm")) {
@@ -527,7 +528,8 @@ int main(int argc, char** argv) {
     } else if (cli.u32("--peer-id", id)) {
       opt.peer_id = static_cast<PeerId>(id);
     } else if (cli.u64("--peer-seed", opt.peer_seed)) {
-    } else if (cli.i32("--listen", opt.listen_port)) {
+    } else if (cli.u16("--listen", port)) {
+      opt.listen_port = port;
     } else if (cli.host_port("--connect", opt.connect_host,
                              opt.connect_port) ||
                cli.host_port("--bootstrap", opt.connect_host,

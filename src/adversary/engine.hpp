@@ -125,7 +125,7 @@ class AdversaryEngine {
     /// Online honest (non-adversary) ids, ascending.
     std::function<std::vector<PeerId>()> online_honest;
     /// Ground-truth transfer ledger (genuine credit lands here in bytes).
-    bt::LedgerSink* ledger = nullptr;
+    bt::Ledger* ledger = nullptr;
   };
 
   /// `stream` is the dedicated adversary RNG (derive it from the scenario

@@ -11,7 +11,7 @@ FrontPeerBarterAgent::FrontPeerBarterAgent(PeerId self,
       fake_mb_(fake_mb) {}
 
 void FrontPeerBarterAgent::outgoing_records(
-    const bt::LedgerView& ledger, Time now,
+    const bt::Ledger& ledger, Time now,
     std::vector<bartercast::BarterRecord>& out) const {
   // Genuine records first (a mole behaves normally toward honest peers to
   // carry the fake flow outward)...

@@ -25,7 +25,7 @@ class FrontPeerBarterAgent final : public bartercast::BarterAgent {
                        std::vector<PeerId> clique, double fake_mb);
 
   void outgoing_records(
-      const bt::LedgerView& ledger, Time now,
+      const bt::Ledger& ledger, Time now,
       std::vector<bartercast::BarterRecord>& out) const override;
 
  private:

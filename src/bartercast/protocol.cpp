@@ -5,7 +5,7 @@
 namespace tribvote::bartercast {
 
 const std::vector<bt::TransferRecord>& BarterAgent::direct_view(
-    const bt::LedgerView& ledger, std::uint64_t version) const {
+    const bt::Ledger& ledger, std::uint64_t version) const {
   if (version != view_version_) {
     view_cache_ = ledger.direct_view(self_);
     view_version_ = version;
@@ -13,7 +13,7 @@ const std::vector<bt::TransferRecord>& BarterAgent::direct_view(
   return view_cache_;
 }
 
-void BarterAgent::outgoing_records(const bt::LedgerView& ledger, Time now,
+void BarterAgent::outgoing_records(const bt::Ledger& ledger, Time now,
                                    std::vector<BarterRecord>& out) const {
   const std::uint64_t version = ledger.version(self_);
   if (version != reported_version_) {
@@ -40,7 +40,7 @@ void BarterAgent::outgoing_records(const bt::LedgerView& ledger, Time now,
   out.assign(report_cache_.begin(), report_cache_.end());
 }
 
-void BarterAgent::sync_direct(const bt::LedgerView& ledger, Time now) {
+void BarterAgent::sync_direct(const bt::Ledger& ledger, Time now) {
   const std::uint64_t version = ledger.version(self_);
   if (version == synced_version_) return;
   // Direct edges change only here, so every record of the last synced view

@@ -15,9 +15,9 @@
 // approximation.
 //
 // Honest agents report truthfully from the shared ledger's per-peer direct
-// view (through the read-only LedgerView half of the ledger API, so any
-// backend serves); the attack module subclasses the reporting hook to
-// model front-peer collusion (fabricated records).
+// view (through a `const bt::Ledger&`: BarterCast reads, never writes); the
+// attack module subclasses the reporting hook to model front-peer
+// collusion (fabricated records).
 #pragma once
 
 #include <cstdint>
@@ -57,12 +57,12 @@ class BarterAgent {
   /// own direct transfers, largest volumes first, truncated to the message
   /// cap. The caller owns `out`, so a reused buffer sends without
   /// allocating. Virtual so attack models can append fabricated claims.
-  virtual void outgoing_records(const bt::LedgerView& ledger, Time now,
+  virtual void outgoing_records(const bt::Ledger& ledger, Time now,
                                 std::vector<BarterRecord>& out) const;
 
   /// Refresh the agent's own direct edges from its local statistics.
   /// Cheap no-op when the ledger reports no change since the last sync.
-  void sync_direct(const bt::LedgerView& ledger, Time now);
+  void sync_direct(const bt::Ledger& ledger, Time now);
 
   /// Merge a counterpart's gossip message. Records not adjacent to the
   /// claimed sender are dropped record-wise (a node may only report about
@@ -118,7 +118,7 @@ class BarterAgent {
 
   /// The ledger's direct view of self at `version` (= ledger.version(self)).
   const std::vector<bt::TransferRecord>& direct_view(
-      const bt::LedgerView& ledger, std::uint64_t version) const;
+      const bt::Ledger& ledger, std::uint64_t version) const;
 
   // Contribution memoization, keyed on the subjective graph's version.
   struct CachedContribution {

@@ -1,29 +1,24 @@
-// Abstract contribution-ledger API (ROADMAP "Ledger scalability").
+// Contribution ledger (DESIGN.md §9).
 //
-// Every byte moved by the swarm engine is accounted in a ledger. The API is
-// split along the system's read/write seam:
+// Every byte moved by the swarm engine is accounted here; it is the sole
+// signal BarterCast (and hence the experience function E) consumes. The
+// read/write seam is the `const` qualifier:
 //
-//   * LedgerSink  — the write half. The swarm engine, the bandwidth/choker
-//     write sites and scenario preseeding append transfers; they never query.
-//   * LedgerView  — the read half. BarterCast (and the attack variants) read
-//     only per-peer direct views and totals; evaluation metrics read pair
+//   * writers hold `Ledger*` / `Ledger&` — the swarm engine, the adversary
+//     plane's credit drips and scenario preseeding append transfers;
+//   * readers hold `const Ledger&` — BarterCast (and the attack variants)
+//     read per-peer direct views and versions; evaluation metrics read pair
 //     counters (allowed global knowledge per the paper's footnote 8).
-//   * Ledger      — both halves in one object, owned by the ScenarioRunner.
 //
-// Two backends implement the API (selected via ScenarioConfig::ledger):
-//
-//   * MapLedger (transfer_ledger.hpp, default) — the dense per-peer pair-map
-//     the repo always had. Golden CSVs are byte-identical on this backend.
-//   * ShardedLogLedger (sharded_log_ledger.hpp) — per-shard append-only
-//     transfer logs compacted periodically into per-peer CSR-style
-//     counterparty rows; sized for millions of peers and safe for
-//     concurrent shard-local appends via per-lane sinks (DESIGN.md §9).
+// Sparse row storage: per peer, a vector of (counterpart, bytes) pairs
+// sorted by counterpart for uploads, mirrored by one for downloads, so a
+// pair lookup is a binary search and a peer's direct view is O(degree),
+// emitted in ascending counterpart order. Right-sized for the paper's
+// 100–1000-peer populations with tens of counterparts each.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -38,80 +33,47 @@ struct TransferRecord {
   double mb = 0;
 };
 
-/// Write half of the ledger API.
-class LedgerSink {
+class Ledger {
  public:
-  virtual ~LedgerSink() = default;
+  explicit Ledger(std::size_t n_peers);
 
   /// Record `bytes` uploaded by `from` to `to`.
-  virtual void add_transfer(PeerId from, PeerId to, double bytes) = 0;
-
-  /// Publish any buffered writes so subsequent reads are O(row) and safe
-  /// under concurrent readers. No-op for eager backends; the append-log
-  /// backend compacts its shard logs here. The runner calls this at the
-  /// end of every BT round, before the read-only gossip rounds fan out.
-  virtual void flush() {}
-};
-
-/// Read half of the ledger API.
-class LedgerView {
- public:
-  virtual ~LedgerView() = default;
+  void add_transfer(PeerId from, PeerId to, double bytes);
 
   /// Megabytes uploaded by `from` to `to` so far.
-  [[nodiscard]] virtual double uploaded_mb(PeerId from, PeerId to) const = 0;
+  [[nodiscard]] double uploaded_mb(PeerId from, PeerId to) const;
 
   /// Total megabytes uploaded by a peer to everyone.
-  [[nodiscard]] virtual double total_uploaded_mb(PeerId peer) const = 0;
+  [[nodiscard]] double total_uploaded_mb(PeerId peer) const;
 
   /// Total megabytes downloaded by a peer from everyone.
-  [[nodiscard]] virtual double total_downloaded_mb(PeerId peer) const = 0;
+  [[nodiscard]] double total_downloaded_mb(PeerId peer) const;
 
   /// The direct records peer `p` can truthfully report: every counterpart
   /// it exchanged data with, both directions. This is the local view
-  /// BarterCast gossips. Record *order* is backend-defined; every consumer
-  /// is order-insensitive (outgoing_records sorts, sync_direct applies
-  /// per-pair set semantics).
-  [[nodiscard]] virtual std::vector<TransferRecord> direct_view(
-      PeerId p) const = 0;
+  /// BarterCast gossips, in row order: uploads by ascending target, then
+  /// downloads by ascending source.
+  [[nodiscard]] std::vector<TransferRecord> direct_view(PeerId p) const;
 
-  [[nodiscard]] virtual std::size_t peer_count() const noexcept = 0;
+  [[nodiscard]] std::size_t peer_count() const noexcept { return n_; }
 
   /// Monotone counter bumped whenever a transfer touches `peer` (either
   /// direction). Lets BarterCast agents skip re-syncing an unchanged
   /// direct view — the dominant cost in long runs.
-  [[nodiscard]] virtual std::uint64_t version(PeerId peer) const = 0;
-};
-
-/// A full ledger: both halves, one object.
-class Ledger : public LedgerView, public LedgerSink {};
-
-/// Backend selector (ScenarioConfig::ledger, TRIBVOTE_LEDGER,
-/// scenario_cli --ledger).
-enum class LedgerBackend : std::uint8_t {
-  kMap,         ///< dense per-peer pair maps (default; goldens' backend)
-  kShardedLog,  ///< sharded append-log + periodic CSR compaction
-};
-
-[[nodiscard]] inline constexpr const char* ledger_backend_name(
-    LedgerBackend backend) noexcept {
-  return backend == LedgerBackend::kShardedLog ? "sharded_log" : "map";
-}
-
-[[nodiscard]] inline std::optional<LedgerBackend> parse_ledger_backend(
-    std::string_view name) noexcept {
-  if (name == "map") return LedgerBackend::kMap;
-  if (name == "sharded_log" || name == "sharded") {
-    return LedgerBackend::kShardedLog;
+  [[nodiscard]] std::uint64_t version(PeerId peer) const {
+    return version_[peer];
   }
-  return std::nullopt;
-}
 
-/// Construct a backend. `shards` only matters for kShardedLog (clamped to
-/// >= 1); pass the scenario's worker-shard count so ledger shards line up
-/// with the ShardKernel's lanes.
-[[nodiscard]] std::unique_ptr<Ledger> make_ledger(LedgerBackend backend,
-                                                  std::size_t n_peers,
-                                                  std::size_t shards = 1);
+ private:
+  /// (counterpart, bytes) pairs, ascending counterpart.
+  using Row = std::vector<std::pair<PeerId, double>>;
+
+  std::size_t n_;
+  std::vector<Row> up_bytes_;
+  std::vector<Row> down_bytes_;
+  std::vector<double> total_up_;
+  std::vector<double> total_down_;
+  std::vector<std::uint64_t> version_;
+};
 
 }  // namespace tribvote::bt

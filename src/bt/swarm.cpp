@@ -16,7 +16,7 @@ constexpr double kWindowFloor = 1024.0;
 
 Swarm::Swarm(const trace::SwarmSpec& spec,
              std::span<const trace::PeerProfile> peers,
-             LedgerSink& ledger, BandwidthAllocator& bandwidth,
+             Ledger& ledger, BandwidthAllocator& bandwidth,
              util::Rng rng, StreamingConfig streaming)
     : spec_(spec),
       peers_(peers),

@@ -16,9 +16,8 @@
 // sorted id index, with an ascending-id roster of the active members that
 // every per-tick pass walks. Nothing is sized by the peer population.
 //
-// Every transferred byte lands in the shared ledger (via its LedgerSink
-// write half) — the sole signal BarterCast (and hence the experience
-// function) consumes.
+// Every transferred byte lands in the shared ledger — the sole signal
+// BarterCast (and hence the experience function) consumes.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +59,7 @@ class Swarm {
   /// `streaming` defaults to off, which preserves the download workload
   /// byte-for-byte.
   Swarm(const trace::SwarmSpec& spec,
-        std::span<const trace::PeerProfile> peers, LedgerSink& ledger,
+        std::span<const trace::PeerProfile> peers, Ledger& ledger,
         BandwidthAllocator& bandwidth, util::Rng rng,
         StreamingConfig streaming = {});
 
@@ -166,7 +165,7 @@ class Swarm {
 
   trace::SwarmSpec spec_;
   std::span<const trace::PeerProfile> peers_;
-  LedgerSink* ledger_;
+  Ledger* ledger_;
   BandwidthAllocator* bandwidth_;
   util::Rng rng_;
   double piece_bytes_;

@@ -8,7 +8,6 @@
 #include "adversary/config.hpp"
 #include "bartercast/experience.hpp"
 #include "bartercast/protocol.hpp"
-#include "bt/ledger.hpp"
 #include "bt/streaming.hpp"
 #include "moderation/moderationcast.hpp"
 #include "pss/newscast.hpp"
@@ -51,12 +50,6 @@ struct ScenarioConfig {
   /// one worker lane per shard. Results are bit-identical for every value
   /// (1 = serial execution on the calling thread, today's behaviour).
   std::size_t shards = 1;
-
-  /// Contribution-ledger backend (bt/ledger.hpp). kMap is the paper-scale
-  /// default the golden CSVs were recorded on; kShardedLog is the
-  /// append-log backend for very large populations. Both produce
-  /// bit-identical per-pair accounting, so metrics agree either way.
-  bt::LedgerBackend ledger = bt::LedgerBackend::kMap;
 
   /// Deterministic network fault plane (sim/fault_plane.hpp). Defaults to
   /// no faults — the perfect-transport setting every golden CSV was

@@ -101,10 +101,7 @@ ScenarioRunner::ScenarioRunner(trace::Trace trace, ScenarioConfig config,
     : trace_(std::move(trace)),
       config_(config),
       rng_(seed),
-      ledger_(bt::make_ledger(
-          config.ledger,
-          trace_.peers.size() + config.adversary.total_agents(),
-          std::max<std::size_t>(1, config.shards))),
+      ledger_(trace_.peers.size() + config.adversary.total_agents()),
       online_(trace_.peers.size() + config.adversary.total_agents()),
       scripted_votes_(trace_.peers.size() + config.adversary.total_agents()) {
   build_population(seed);
@@ -383,7 +380,7 @@ adversary::AdversaryEngine::Host ScenarioRunner::make_adversary_host() {
                   [n = trace_.peers.size()](PeerId id) { return id >= n; });
     return honest;
   };
-  host.ledger = ledger_.get();
+  host.ledger = &ledger_;
   return host;
 }
 
@@ -411,7 +408,7 @@ void ScenarioRunner::cast_vote_now(PeerId voter, ModeratorId moderator,
 }
 
 void ScenarioRunner::preseed_transfer(PeerId from, PeerId to, double mb) {
-  ledger_->add_transfer(from, to, mb * 1024.0 * 1024.0);
+  ledger_.add_transfer(from, to, mb * 1024.0 * 1024.0);
 }
 
 void ScenarioRunner::preload_ballot(PeerId owner, PeerId voter,
@@ -571,7 +568,7 @@ void ScenarioRunner::peer_offline(PeerId id) {
 
 void ScenarioRunner::swarm_created(const trace::SwarmSpec& spec) {
   auto swarm = std::make_unique<bt::Swarm>(
-      spec, std::span<const trace::PeerProfile>(trace_.peers), *ledger_,
+      spec, std::span<const trace::PeerProfile>(trace_.peers), ledger_,
       *bandwidth_, rng_.derive(0x7377 ^ spec.id), config_.streaming);
   swarm->probes = swarm_probes_;
   swarm->on_complete = [this, sid = spec.id](PeerId peer) {
@@ -601,18 +598,13 @@ void ScenarioRunner::swarm_join(const trace::SwarmJoin& join) {
 
 void ScenarioRunner::bt_round() {
   // Swarm ticks write the shared ledger and bandwidth allocator, so the BT
-  // loop stays serial (the append-log backend's per-lane sinks exist for a
-  // future sharded swarm tick). The flush publishes any buffered appends —
-  // a no-op on the map backend, a shard-log compaction on the append-log
-  // backend — so the concurrent read-only gossip rounds that follow see
-  // compacted rows.
+  // loop stays serial.
   telemetry::Span span(telemetry_.get(), "bt.round");
   const double dt = static_cast<double>(config_.periods.bt_round);
   for (auto& [sid, swarm] : swarms_) swarm->tick(dt);
-  // Adversary credit drips land before the flush, so the gossip rounds that
-  // follow see the plane's ledger writes alongside the swarms'.
+  // Adversary credit drips land here, so the gossip rounds that follow see
+  // the plane's ledger writes alongside the swarms'.
   if (adversary_) adversary_->on_bt_round(sim_.now());
-  ledger_->flush();
 }
 
 std::vector<sim::Encounter> ScenarioRunner::pair_round() {
@@ -853,21 +845,21 @@ void ScenarioRunner::barter_round() {
         sim::FaultStats& fs = fault_plane_->lane_stats(lane);
         bartercast::BarterAgent& bi = nodes_[e.initiator]->barter();
         bartercast::BarterAgent& bj = nodes_[e.responder]->barter();
-        bi.sync_direct(*ledger_, now);
+        bi.sync_direct(ledger_, now);
         if (f.drop_request) return;  // records are unsolicited; no re-offer
-        bj.sync_direct(*ledger_, now);
+        bj.sync_direct(ledger_, now);
 
         // One buffer per lane carries both legs: the initiator's batch is
         // merged before the responder's is written over it.
         std::vector<bartercast::BarterRecord>& recs = barter_records_[lane];
-        bi.outgoing_records(*ledger_, now, recs);
+        bi.outgoing_records(ledger_, now, recs);
         probes_.barter_batch_size.observe(static_cast<double>(recs.size()));
         fs.barter.rejected +=
             corrupt_barter_batch(recs, f.request_payload, f.payload_salt);
         bj.receive(e.initiator, recs);
 
         if (!f.reply_lost()) {
-          bj.outgoing_records(*ledger_, now, recs);
+          bj.outgoing_records(ledger_, now, recs);
           probes_.barter_batch_size.observe(static_cast<double>(recs.size()));
           const std::size_t damaged = corrupt_barter_batch(
               recs, f.reply_payload, f.payload_salt + 1);

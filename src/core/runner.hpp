@@ -59,6 +59,11 @@ class ScenarioRunner {
   ScenarioRunner(trace::Trace trace, ScenarioConfig config,
                  std::uint64_t seed);
 
+  // Swarms, the adversary host and scheduled events hold this runner's
+  // address and its ledger's.
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
+
   // ---- population layout ---------------------------------------------------
 
   /// Trace peers occupy ids [0, trace_peer_count()); adversary-plane
@@ -166,11 +171,8 @@ class ScenarioRunner {
   }
   /// Has this identity appeared yet (trace arrival / roster entry start)?
   [[nodiscard]] bool has_arrived(PeerId id, Time t) const;
-  /// Read-only view of the contribution ledger (backend per
-  /// ScenarioConfig::ledger).
-  [[nodiscard]] const bt::LedgerView& ledger() const noexcept {
-    return *ledger_;
-  }
+  /// Read-only view of the contribution ledger.
+  [[nodiscard]] const bt::Ledger& ledger() const noexcept { return ledger_; }
   /// Node id's current moderator ranking (ballot box or VoxPopuli merge).
   [[nodiscard]] vote::RankedList ranking_of(PeerId id) const {
     return nodes_.at(id)->vote().current_ranking();
@@ -285,7 +287,7 @@ class ScenarioRunner {
   // it hands out all-clear verdicts that draw nothing, so the fault-free
   // RNG sequence and output stay byte-identical.
   std::unique_ptr<sim::FaultPlane> fault_plane_;
-  std::unique_ptr<bt::Ledger> ledger_;
+  bt::Ledger ledger_;
   std::unique_ptr<bt::BandwidthAllocator> bandwidth_;
   pss::OnlineDirectory online_;
   /// The PSS behind the shared abstract interface (pss::make_sampler);

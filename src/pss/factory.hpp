@@ -1,6 +1,6 @@
-// Factory selection of the simulator-side PeerSampler implementations,
-// mirroring bt::make_ledger: callers name a kind and hold the abstract
-// interface, so swapping the sampling strategy never touches call sites.
+// Factory selection of the simulator-side PeerSampler implementations:
+// callers name a kind and hold the abstract interface, so swapping the
+// sampling strategy never touches call sites.
 // (The socket plane's net::PeerDirectory is constructed directly — it needs
 // a transport and has no place in a sim-side factory.)
 #pragma once

@@ -1,17 +1,28 @@
 #include "sim/options.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 namespace tribvote::sim::options {
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const long parsed = std::strtol(v, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(v, &end, 10);
+  if (*end == '\0' && errno == 0 && parsed > 0) {
+    return static_cast<std::size_t>(parsed);
+  }
+  std::fprintf(stderr,
+               "warning: %s=%s is not a positive integer; using %zu\n", name,
+               v, fallback);
+  return fallback;
 }
 
 std::uint64_t seed() {
@@ -29,17 +40,6 @@ std::size_t ablation_replicas() {
 }
 
 std::size_t shards() { return env_size("TRIBVOTE_SHARDS", 1); }
-
-bt::LedgerBackend ledger_backend() {
-  const char* v = std::getenv("TRIBVOTE_LEDGER");
-  if (v == nullptr) return bt::LedgerBackend::kMap;
-  if (const auto backend = bt::parse_ledger_backend(v)) return *backend;
-  std::fprintf(stderr,
-               "warning: TRIBVOTE_LEDGER=%s is not a ledger backend "
-               "(map | sharded_log); using map\n",
-               v);
-  return bt::LedgerBackend::kMap;
-}
 
 namespace {
 
@@ -154,11 +154,16 @@ bool CliFlags::value(const char* name, std::string& out) {
 
 namespace {
 
+/// Decimal digits only: strtoull would wrap "-1" to 2^64-1 and skip
+/// leading blanks.
 bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE) return false;
   out = v;
   return true;
 }
@@ -200,8 +205,11 @@ bool CliFlags::i32(const char* name, int& out) {
   std::string raw;
   if (!take(name, raw)) return false;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(raw.c_str(), &end, 10);
-  if (raw.empty() || end == nullptr || *end != '\0') {
+  if (raw.empty() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     fail();
   } else {
     out = static_cast<int>(v);

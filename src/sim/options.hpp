@@ -12,8 +12,6 @@
 //                          20090525, the IPPS 2009 conference date)
 //   TRIBVOTE_SHARDS        worker shards per ScenarioRunner (default 1);
 //                          results are bit-identical for any value
-//   TRIBVOTE_LEDGER        contribution-ledger backend: "map" (default,
-//                          the goldens' backend) or "sharded_log"
 //   TRIBVOTE_FAULTS        network fault spec, e.g.
 //                          "loss=0.3,delay=0.1,max_delay=120,crash=0.01,
 //                          corrupt=0.05,retries=4,retry_base=15"
@@ -54,10 +52,10 @@
 //                          (default 2000 in the free-running harnesses;
 //                          0 disables)
 //
-// This header also hosts the shared `--flag value` CLI scanner the net
-// binaries (tribvote_node, tribvote_load, tribvote_cluster) parse with —
-// one strict parser instead of three hand-rolled strtol loops, same spirit
-// as the env block above. Flags here are plain integers/strings; nothing
+// This header also hosts the shared `--flag value` CLI scanner that
+// scenario_cli and the net binaries (tribvote_node, tribvote_load,
+// tribvote_cluster) parse with — one strict parser instead of four
+// hand-rolled strtol loops, same spirit as the env block above. Flags here are plain integers/strings; nothing
 // in sim depends on net::.
 #pragma once
 
@@ -68,24 +66,21 @@
 #include <vector>
 
 #include "adversary/config.hpp"
-#include "bt/ledger.hpp"
 #include "bt/streaming.hpp"
 #include "sim/fault_plane.hpp"
 #include "telemetry/config.hpp"
 
 namespace tribvote::sim::options {
 
-/// TRIBVOTE_<name> as a positive size, or `fallback` when unset/invalid.
+/// TRIBVOTE_<name> as a positive size, or `fallback` when unset or empty.
+/// Anything else that is not a whole positive decimal ("4x", "abc", "0")
+/// falls back with a warning on stderr.
 [[nodiscard]] std::size_t env_size(const char* name, std::size_t fallback);
 
 [[nodiscard]] std::uint64_t seed();
 [[nodiscard]] std::size_t replicas();
 [[nodiscard]] std::size_t ablation_replicas();
 [[nodiscard]] std::size_t shards();
-
-/// TRIBVOTE_LEDGER; unknown values fall back to the map backend with a
-/// warning on stderr (a silently ignored knob would taint measurements).
-[[nodiscard]] bt::LedgerBackend ledger_backend();
 
 /// TRIBVOTE_FAULTS parsed via sim::parse_fault_spec; a malformed spec
 /// falls back to no faults with a warning on stderr.
@@ -133,7 +128,8 @@ struct NetOptions {
 void banner(const char* name,
             const std::vector<std::pair<std::string, std::string>>& kv);
 
-/// Strict `--flag value` scanner shared by the net binaries. Usage:
+/// Strict `--flag value` scanner shared by scenario_cli and the net
+/// binaries. Usage:
 ///
 ///   CliFlags cli(argc, argv);
 ///   while (cli.next()) {
@@ -146,7 +142,9 @@ void banner(const char* name,
 ///
 /// Each typed matcher returns true only when the current flag matches its
 /// name AND the value parses; a matching flag with a missing or malformed
-/// value sets error() and stops the scan (next() turns false).
+/// value sets error() and stops the scan (next() turns false). Unsigned
+/// matchers take decimal digits only (no sign, no blanks) and reject
+/// values above their type's range; i32 rejects values outside int.
 class CliFlags {
  public:
   CliFlags(int argc, char** argv);

@@ -6,8 +6,7 @@
 // ShardKernel maintains around each lane's work); blocks are folded into
 // the totals serially at round barriers, in lane order. Every folded
 // quantity is an unsigned sum, so totals are bit-identical at any shard
-// count — the same discipline the fault plane's lane buffers and the
-// sharded ledger's per-lane sinks follow.
+// count — the same discipline the fault plane's lane buffers follow.
 //
 // Concurrency contract:
 //   * registration (counter/gauge/histogram) is serial, before rounds run;

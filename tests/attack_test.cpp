@@ -2,7 +2,7 @@
 
 #include "attack/colluder.hpp"
 #include "attack/front_peer.hpp"
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 #include "vote/agent.hpp"
 
 namespace tribvote::attack {
@@ -96,7 +96,7 @@ TEST(ColluderPlanTest, NoVictimMeansSingleVote) {
 }
 
 TEST(FrontPeerTest, FabricatesIntraCliqueRecords) {
-  bt::TransferLedger ledger(5);
+  bt::Ledger ledger(5);
   ledger.add_transfer(3, 0, 2.0 * 1024 * 1024);  // one genuine record
   FrontPeerBarterAgent mole(3, bartercast::BarterConfig{}, {3, 4}, 500.0);
   std::vector<bartercast::BarterRecord> records;
@@ -114,7 +114,7 @@ TEST(FrontPeerTest, FabricatesIntraCliqueRecords) {
 }
 
 TEST(FrontPeerTest, GenuineBehaviourUnderneath) {
-  bt::TransferLedger ledger(5);
+  bt::Ledger ledger(5);
   FrontPeerBarterAgent mole(3, bartercast::BarterConfig{}, {3}, 500.0);
   // Clique of one: no fakes, only (empty) genuine records.
   std::vector<bartercast::BarterRecord> records{{0, 1, 1.0, 0}};

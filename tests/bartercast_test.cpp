@@ -11,7 +11,7 @@
 #include "bartercast/maxflow.hpp"
 #include "bartercast/protocol.hpp"
 #include "bartercast/subjective_graph.hpp"
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 #include "util/rng.hpp"
 
 namespace tribvote::bartercast {
@@ -150,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, MaxFlowPropertyTest,
 class BarterAgentTest : public ::testing::Test {
  protected:
   BarterAgentTest() : ledger_(6) {}
-  bt::TransferLedger ledger_;
+  bt::Ledger ledger_;
 };
 
 TEST_F(BarterAgentTest, OutgoingRecordsAreOwnDirectTransfers) {
@@ -238,7 +238,7 @@ TEST_F(BarterAgentTest, SyncAfterAnUnsyncedReportAppliesTheWholeView) {
 }
 
 TEST(ExperienceFunction, ThresholdSemantics) {
-  bt::TransferLedger ledger(3);
+  bt::Ledger ledger(3);
   BarterAgent agent(0, BarterConfig{});
   ledger.add_transfer(1, 0, 5.0 * 1024 * 1024);
   agent.sync_direct(ledger, 1);
@@ -406,7 +406,7 @@ TEST_F(BarterAgentTest, ContributionColumnMatchesPerQueryBitExactly) {
 TEST(FrontPeerAttack, MaxFlowResistsWhereNaiveFails) {
   // Honest node 0; colluders 3,4,5 fabricate huge intra-clique transfers.
   // Colluder 3 ("the mole") genuinely uploaded only 1 MB to node 0.
-  bt::TransferLedger ledger(6);
+  bt::Ledger ledger(6);
   ledger.add_transfer(3, 0, 1.0 * 1024 * 1024);
 
   BarterAgent honest(0, BarterConfig{});

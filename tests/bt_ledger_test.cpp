@@ -1,27 +1,19 @@
-// Ledger backend tests (bt/ledger.hpp).
+// Contribution-ledger tests (bt/ledger.hpp).
 //
-// Three layers:
-//   * LedgerEquivalence — property tests: random transfer streams must read
-//     back *bit-identically* from MapLedger and ShardedLogLedger, with
-//     queries interleaved mid-stream (i.e. against uncompacted log tails)
-//     and across forced compactions at tiny thresholds. MapLedger's sorted
-//     rows are also checked against a hash-map reference.
-//   * ShardedLogLedger unit behaviour — compaction triggers, flush, stats.
-//   * LedgerShardStress — concurrent per-lane sink appends (plus readers
-//     racing the buffered writes) merged at a barrier must equal a serial
-//     replay; run under TSan in CI.
-//   * Runner-level: a full scenario run produces the same accounting and
-//     stats on both backends, at shard counts 1 and 4.
+//   * MapLedgerReference — property test: the sorted rows must read back
+//     bit-identically from a hash-map-per-peer reference fed the same
+//     random transfer stream, and a direct view comes out in row order.
+//   * LedgerShardStress — a full scenario run's accounting and protocol
+//     stats must not depend on the worker-shard count (run under TSan in
+//     CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "bt/ledger.hpp"
-#include "bt/sharded_log_ledger.hpp"
-#include "bt/transfer_ledger.hpp"
 #include "core/runner.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -29,8 +21,8 @@
 namespace tribvote::bt {
 namespace {
 
-/// Canonical form of a direct view: sorted records (order is
-/// backend-defined, content must match exactly).
+/// Canonical form of a direct view: sorted records (the reference's order
+/// is its hash maps', content must match exactly).
 std::vector<TransferRecord> canonical(std::vector<TransferRecord> records) {
   std::sort(records.begin(), records.end(),
             [](const TransferRecord& a, const TransferRecord& b) {
@@ -40,9 +32,9 @@ std::vector<TransferRecord> canonical(std::vector<TransferRecord> records) {
   return records;
 }
 
-/// Every observable of the two views must agree to the last bit.
-void expect_identical(const LedgerView& a, const LedgerView& b,
-                      std::size_t n) {
+/// Every observable of the two ledgers must agree to the last bit.
+template <class A, class B>
+void expect_identical(const A& a, const B& b, std::size_t n) {
   ASSERT_EQ(a.peer_count(), n);
   ASSERT_EQ(b.peer_count(), n);
   for (PeerId p = 0; p < n; ++p) {
@@ -69,9 +61,9 @@ void expect_identical(const LedgerView& a, const LedgerView& b,
   }
 }
 
-/// The hash-map-per-peer ledger MapLedger's sorted rows replaced, kept as
-/// a reference: the same `+=` per pair, so every value must match bit-for-bit.
-class NestedMapLedger final : public LedgerView {
+/// The hash-map-per-peer ledger the sorted rows replaced, kept as a
+/// reference: the same `+=` per pair, so every value must match bit-for-bit.
+class NestedMapLedger {
  public:
   explicit NestedMapLedger(std::size_t n)
       : up_(n), down_(n), total_up_(n), total_down_(n), version_(n) {}
@@ -85,18 +77,18 @@ class NestedMapLedger final : public LedgerView {
     ++version_[to];
   }
 
-  [[nodiscard]] double uploaded_mb(PeerId from, PeerId to) const override {
+  [[nodiscard]] double uploaded_mb(PeerId from, PeerId to) const {
     const auto it = up_[from].find(to);
     return it == up_[from].end() ? 0.0 : it->second / kMb;
   }
-  [[nodiscard]] double total_uploaded_mb(PeerId peer) const override {
+  [[nodiscard]] double total_uploaded_mb(PeerId peer) const {
     return total_up_[peer] / kMb;
   }
-  [[nodiscard]] double total_downloaded_mb(PeerId peer) const override {
+  [[nodiscard]] double total_downloaded_mb(PeerId peer) const {
     return total_down_[peer] / kMb;
   }
   [[nodiscard]] std::vector<TransferRecord> direct_view(
-      PeerId p) const override {
+      PeerId p) const {
     std::vector<TransferRecord> records;
     for (const auto& [to, bytes] : up_[p]) {
       records.push_back(TransferRecord{p, to, bytes / kMb});
@@ -106,10 +98,10 @@ class NestedMapLedger final : public LedgerView {
     }
     return records;
   }
-  [[nodiscard]] std::size_t peer_count() const noexcept override {
+  [[nodiscard]] std::size_t peer_count() const noexcept {
     return up_.size();
   }
-  [[nodiscard]] std::uint64_t version(PeerId peer) const override {
+  [[nodiscard]] std::uint64_t version(PeerId peer) const {
     return version_[peer];
   }
 
@@ -127,7 +119,7 @@ class MapLedgerReference : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MapLedgerReference, SortedRowsMatchHashMapReference) {
   constexpr std::size_t kPeers = 40;
   util::Rng rng(GetParam());
-  MapLedger map(kPeers);
+  Ledger ledger(kPeers);
   NestedMapLedger ref(kPeers);
   for (std::size_t t = 0; t < 5000; ++t) {
     const auto from = static_cast<PeerId>(rng.next_below(kPeers));
@@ -136,14 +128,14 @@ TEST_P(MapLedgerReference, SortedRowsMatchHashMapReference) {
     const double bytes = rng.next_bool(0.5)
                              ? rng.next_double(1.0, 50.0) * 1024 * 1024
                              : rng.next_double(0.0, 1.0) * 1024;
-    map.add_transfer(from, to, bytes);
+    ledger.add_transfer(from, to, bytes);
     ref.add_transfer(from, to, bytes);
-    if (t % 1000 == 999) expect_identical(map, ref, kPeers);
+    if (t % 1000 == 999) expect_identical(ledger, ref, kPeers);
   }
   // The view comes out in row order: uploads by ascending target, then
   // downloads by ascending source.
   for (PeerId p = 0; p < kPeers; ++p) {
-    const std::vector<TransferRecord> view = map.direct_view(p);
+    const std::vector<TransferRecord> view = ledger.direct_view(p);
     const auto split = std::ranges::partition_point(
         view, [p](const TransferRecord& r) { return r.from == p; });
     EXPECT_TRUE(std::ranges::is_sorted(view.begin(), split, std::less<>{},
@@ -159,171 +151,10 @@ TEST_P(MapLedgerReference, SortedRowsMatchHashMapReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MapLedgerReference,
                          ::testing::Values(1u, 2u, 3u));
 
-class LedgerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LedgerEquivalence, RandomStreamReadsBackIdentically) {
-  constexpr std::size_t kPeers = 48;
-  constexpr std::size_t kTransfers = 4000;
-  util::Rng rng(GetParam());
-  MapLedger map(kPeers);
-  // Tiny threshold: the stream crosses many compaction boundaries, so
-  // queries hit every mix of compacted rows and pending log tails.
-  ShardedLogLedger sharded(kPeers, /*shards=*/4, /*compact_threshold=*/64);
-  for (std::size_t t = 0; t < kTransfers; ++t) {
-    const auto from = static_cast<PeerId>(rng.next_below(kPeers));
-    auto to = static_cast<PeerId>(rng.next_below(kPeers));
-    if (to == from) to = (to + 1) % kPeers;
-    // Skewed pairs so the same pair accumulates repeatedly (the FP
-    // order-sensitivity the bit-identity argument is about).
-    const double bytes = rng.next_bool(0.5)
-                             ? rng.next_double(1.0, 50.0) * 1024 * 1024
-                             : rng.next_double(0.0, 1.0) * 1024;
-    map.add_transfer(from, to, bytes);
-    sharded.add_transfer(from, to, bytes);
-    // Interleaved spot checks against the uncompacted tail.
-    if (t % 97 == 0) {
-      const auto p = static_cast<PeerId>(rng.next_below(kPeers));
-      EXPECT_EQ(map.total_uploaded_mb(p), sharded.total_uploaded_mb(p));
-      EXPECT_EQ(map.uploaded_mb(from, to), sharded.uploaded_mb(from, to));
-      EXPECT_EQ(map.version(p), sharded.version(p));
-    }
-  }
-  // Mid-stream full sweep with pending entries outstanding...
-  expect_identical(map, sharded, kPeers);
-  EXPECT_GT(sharded.stats().compactions, 0u);
-  // ...and again after everything is compacted.
-  sharded.flush();
-  EXPECT_EQ(sharded.pending_entries(), 0u);
-  expect_identical(map, sharded, kPeers);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LedgerEquivalence,
-                         ::testing::Values(1u, 7u, 42u, 20090525u));
-
-TEST(LedgerEquivalence, ShardCountDoesNotChangeReads) {
-  constexpr std::size_t kPeers = 32;
-  util::Rng rng(11);
-  ShardedLogLedger one(kPeers, 1, 128);
-  ShardedLogLedger four(kPeers, 4, 128);
-  ShardedLogLedger many(kPeers, 64, 128);  // more shards than busy peers
-  for (std::size_t t = 0; t < 2000; ++t) {
-    const auto from = static_cast<PeerId>(rng.next_below(kPeers));
-    auto to = static_cast<PeerId>(rng.next_below(kPeers));
-    if (to == from) to = (to + 1) % kPeers;
-    const double bytes = rng.next_double(0.1, 10.0) * 1024 * 1024;
-    one.add_transfer(from, to, bytes);
-    four.add_transfer(from, to, bytes);
-    many.add_transfer(from, to, bytes);
-  }
-  expect_identical(one, four, kPeers);
-  expect_identical(one, many, kPeers);
-}
-
-TEST(ShardedLogLedger, CompactsAtThresholdAndOnFlush) {
-  ShardedLogLedger ledger(8, /*shards=*/2, /*compact_threshold=*/4);
-  // Peers 0 and 2 share shard 0: four appends to shard 0 trigger a compact.
-  ledger.add_transfer(0, 2, 100.0);  // shard0: 2 entries
-  EXPECT_EQ(ledger.pending_entries(), 2u);
-  ledger.add_transfer(2, 0, 50.0);  // shard0 hits 4 -> compacts
-  EXPECT_EQ(ledger.pending_entries(), 0u);
-  EXPECT_EQ(ledger.stats().compactions, 1u);
-  EXPECT_EQ(ledger.stats().compacted_entries, 4u);
-
-  ledger.add_transfer(1, 3, 10.0);  // shard1: 2 entries, below threshold
-  EXPECT_EQ(ledger.pending_entries(), 2u);
-  ledger.flush();
-  EXPECT_EQ(ledger.pending_entries(), 0u);
-  EXPECT_EQ(ledger.stats().compactions, 2u);
-  ledger.flush();  // clean flush is free
-  EXPECT_EQ(ledger.stats().compactions, 2u);
-  EXPECT_EQ(ledger.uploaded_mb(0, 2) * 1024 * 1024, 100.0);
-  EXPECT_EQ(ledger.version(0), 2u);  // one up, one down entry
-}
-
-TEST(ShardedLogLedger, FactoryAndBackendNames) {
-  const auto map = make_ledger(LedgerBackend::kMap, 4);
-  const auto log = make_ledger(LedgerBackend::kShardedLog, 4, 2);
-  map->add_transfer(0, 1, 1024.0);
-  log->add_transfer(0, 1, 1024.0);
-  EXPECT_EQ(map->uploaded_mb(0, 1), log->uploaded_mb(0, 1));
-  EXPECT_NE(dynamic_cast<ShardedLogLedger*>(log.get()), nullptr);
-  EXPECT_NE(dynamic_cast<MapLedger*>(map.get()), nullptr);
-  EXPECT_STREQ(ledger_backend_name(LedgerBackend::kMap), "map");
-  EXPECT_STREQ(ledger_backend_name(LedgerBackend::kShardedLog),
-               "sharded_log");
-  EXPECT_EQ(parse_ledger_backend("map"), LedgerBackend::kMap);
-  EXPECT_EQ(parse_ledger_backend("sharded_log"), LedgerBackend::kShardedLog);
-  EXPECT_EQ(parse_ledger_backend("bogus"), std::nullopt);
-}
-
-/// Concurrent lane-local appends, with readers racing the buffered writes,
-/// then a serial merge — the shard-concurrency contract of the backend.
-/// The reference is a serial replay in (lane, append order), which is what
-/// merge_sinks() promises. Run under TSan in CI.
-TEST(LedgerShardStress, ConcurrentSinkAppendsMatchSerialReplay) {
-  constexpr std::size_t kPeers = 64;
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kPerLane = 5000;
-  constexpr int kRounds = 3;
-
-  ShardedLogLedger sharded(kPeers, kLanes, /*compact_threshold=*/256);
-  MapLedger reference(kPeers);
-
-  // Deterministic per-lane transfer streams (cross-shard pairs included:
-  // a lane may append about any pair, buffering makes it safe).
-  struct Xfer {
-    PeerId from, to;
-    double bytes;
-  };
-  std::vector<std::vector<Xfer>> streams(kLanes);
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    util::Rng rng(900 + lane);
-    for (std::size_t i = 0; i < kPerLane; ++i) {
-      const auto from = static_cast<PeerId>(rng.next_below(kPeers));
-      auto to = static_cast<PeerId>(rng.next_below(kPeers));
-      if (to == from) to = (to + 1) % kPeers;
-      streams[lane].push_back(
-          Xfer{from, to, rng.next_double(0.1, 5.0) * 1024 * 1024});
-    }
-  }
-
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::thread> workers;
-    workers.reserve(kLanes + 1);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      workers.emplace_back([&, lane] {
-        LedgerSink& sink = sharded.sink(lane);
-        for (const Xfer& x : streams[lane]) {
-          sink.add_transfer(x.from, x.to, x.bytes);
-        }
-      });
-    }
-    // A reader racing the buffered appends: sink buffers are lane-local,
-    // so queries must see exactly the pre-round state, data-race free.
-    workers.emplace_back([&] {
-      double sum = 0;
-      for (PeerId p = 0; p < kPeers; ++p) {
-        sum += sharded.total_uploaded_mb(p);
-        sum += static_cast<double>(sharded.direct_view(p).size());
-      }
-      EXPECT_GE(sum, 0.0);
-    });
-    for (auto& w : workers) w.join();
-
-    sharded.merge_sinks();  // the barrier step
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      for (const Xfer& x : streams[lane]) {
-        reference.add_transfer(x.from, x.to, x.bytes);
-      }
-    }
-    expect_identical(reference, sharded, kPeers);
-  }
-  EXPECT_EQ(sharded.stats().sink_merges, static_cast<std::uint64_t>(kRounds));
-}
-
 /// Full-stack equivalence: a scenario run's accounting and protocol stats
-/// must not depend on the ledger backend, at any shard count.
-TEST(LedgerShardStress, RunnerBackendsProduceIdenticalRuns) {
+/// must not depend on the shard count. At 4 shards the gossip rounds read
+/// the ledger from every lane at once.
+TEST(LedgerShardStress, RunnerShardCountsProduceIdenticalLedgers) {
   trace::GeneratorParams params;
   params.n_peers = 20;
   params.n_swarms = 3;
@@ -332,31 +163,24 @@ TEST(LedgerShardStress, RunnerBackendsProduceIdenticalRuns) {
   params.arrival_window = 0.3;
   const trace::Trace tr = trace::generate_trace(params, 5);
 
-  core::ScenarioConfig base;
-  std::vector<const core::ScenarioRunner*> runners;
-  std::vector<std::unique_ptr<core::ScenarioRunner>> owned;
-  for (const auto backend :
-       {LedgerBackend::kMap, LedgerBackend::kShardedLog}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      core::ScenarioConfig config = base;
-      config.ledger = backend;
-      config.shards = shards;
-      owned.push_back(std::make_unique<core::ScenarioRunner>(tr, config, 42));
-      owned.back()->run_until(tr.duration);
-      runners.push_back(owned.back().get());
-    }
-  }
-  const core::ScenarioRunner& ref = *runners.front();
-  for (std::size_t r = 1; r < runners.size(); ++r) {
-    const core::ScenarioRunner& other = *runners[r];
-    EXPECT_EQ(ref.stats().downloads_completed,
-              other.stats().downloads_completed);
-    EXPECT_EQ(ref.stats().vote_exchanges, other.stats().vote_exchanges);
-    EXPECT_EQ(ref.stats().votes_accepted, other.stats().votes_accepted);
-    EXPECT_EQ(ref.stats().barter_exchanges, other.stats().barter_exchanges);
-    expect_identical(ref.ledger(), other.ledger(), tr.peers.size());
-    EXPECT_EQ(ref.collective_experience(5.0), other.collective_experience(5.0));
-  }
+  const auto run = [&tr](std::size_t shards) {
+    core::ScenarioConfig config;
+    config.shards = shards;
+    auto runner = std::make_unique<core::ScenarioRunner>(tr, config, 42);
+    runner->run_until(tr.duration);
+    return runner;
+  };
+  const auto serial = run(1);
+  const auto sharded = run(4);
+  EXPECT_EQ(serial->stats().downloads_completed,
+            sharded->stats().downloads_completed);
+  EXPECT_EQ(serial->stats().vote_exchanges, sharded->stats().vote_exchanges);
+  EXPECT_EQ(serial->stats().votes_accepted, sharded->stats().votes_accepted);
+  EXPECT_EQ(serial->stats().barter_exchanges,
+            sharded->stats().barter_exchanges);
+  expect_identical(serial->ledger(), sharded->ledger(), tr.peers.size());
+  EXPECT_EQ(serial->collective_experience(5.0),
+            sharded->collective_experience(5.0));
 }
 
 }  // namespace

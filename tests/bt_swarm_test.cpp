@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 
 #include <vector>
 
@@ -31,7 +31,7 @@ class SwarmTest : public ::testing::Test {
     spec_.size_mb = size_mb;
     spec_.piece_kb = 1024;  // 1 MB pieces -> size_mb pieces
     spec_.initial_seeder = 0;
-    ledger_ = std::make_unique<TransferLedger>(n_peers);
+    ledger_ = std::make_unique<Ledger>(n_peers);
     bandwidth_ = std::make_unique<BandwidthAllocator>(
         std::vector<double>(n_peers, up_kbps),
         std::vector<double>(n_peers, 8 * up_kbps));
@@ -51,7 +51,7 @@ class SwarmTest : public ::testing::Test {
 
   std::vector<trace::PeerProfile> peers_;
   trace::SwarmSpec spec_;
-  std::unique_ptr<TransferLedger> ledger_;
+  std::unique_ptr<Ledger> ledger_;
   std::unique_ptr<BandwidthAllocator> bandwidth_;
   std::unique_ptr<Swarm> swarm_;
 };

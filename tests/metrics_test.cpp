@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 #include "metrics/cev.hpp"
 #include "metrics/ordering.hpp"
 #include "metrics/timeseries.hpp"
@@ -32,7 +32,7 @@ TEST(Cev, DirectedCounting) {
 }
 
 TEST(Cev, AgentOverloadMatchesPredicate) {
-  bt::TransferLedger ledger(3);
+  bt::Ledger ledger(3);
   ledger.add_transfer(1, 0, 10.0 * 1024 * 1024);
   std::vector<std::unique_ptr<bartercast::BarterAgent>> agents;
   for (PeerId p = 0; p < 3; ++p) {

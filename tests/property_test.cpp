@@ -13,7 +13,7 @@
 
 #include "bartercast/maxflow.hpp"
 #include "bartercast/protocol.hpp"
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 #include "moderation/db.hpp"
 #include "sim/simulator.hpp"
 #include "trace/analyzer.hpp"
@@ -450,7 +450,7 @@ TEST_P(BarterCacheProperty, CachedContributionsEqualScratchRecompute) {
   const int hops = GetParam() % 3 == 2 ? 3 : 2;  // exercise the EK path too
   bartercast::BarterConfig config;
   config.max_path_edges = hops;
-  bt::TransferLedger ledger(kPeers);
+  bt::Ledger ledger(kPeers);
   bartercast::BarterAgent agent(0, config);
 
   Time now = 1;

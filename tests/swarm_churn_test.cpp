@@ -7,7 +7,7 @@
 #include <map>
 
 #include "bt/swarm.hpp"
-#include "bt/transfer_ledger.hpp"
+#include "bt/ledger.hpp"
 #include "util/hash.hpp"
 
 namespace tribvote::bt {
@@ -63,7 +63,7 @@ class SwarmChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
     spec_.size_mb = 8;
     spec_.piece_kb = 1024;
     spec_.initial_seeder = 0;
-    ledger_ = std::make_unique<TransferLedger>(kPeers);
+    ledger_ = std::make_unique<Ledger>(kPeers);
     bandwidth_ = std::make_unique<BandwidthAllocator>(
         std::vector<double>(kPeers, 256.0),
         std::vector<double>(kPeers, 2048.0));
@@ -71,7 +71,7 @@ class SwarmChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
 
   std::vector<trace::PeerProfile> peers_;
   trace::SwarmSpec spec_;
-  std::unique_ptr<TransferLedger> ledger_;
+  std::unique_ptr<Ledger> ledger_;
   std::unique_ptr<BandwidthAllocator> bandwidth_;
 };
 
@@ -192,7 +192,7 @@ TEST(SwarmFirewall, TwoFirewalledPeersNeverExchange) {
   spec.size_mb = 6;
   spec.piece_kb = 1024;
   spec.initial_seeder = 1;  // firewalled seed
-  TransferLedger ledger(6);
+  Ledger ledger(6);
   BandwidthAllocator bandwidth(std::vector<double>(6, 512.0),
                                std::vector<double>(6, 4096.0));
   Swarm swarm(spec, peers, ledger, bandwidth, util::Rng(5));
@@ -237,7 +237,7 @@ TEST(SwarmStreamingPinned, SeededChurnOutcome) {
   spec.size_mb = 16;
   spec.piece_kb = 256;  // 64 pieces, ~11 s of playback each at 192 kbps
   spec.initial_seeder = 0;
-  TransferLedger ledger(kPeers);
+  Ledger ledger(kPeers);
   BandwidthAllocator bandwidth(up, down);
   StreamingConfig streaming;
   streaming.enabled = true;
