@@ -5,9 +5,10 @@
 //                    then report final agent state and exit
 //   --connect H:P    initiator: run `--rounds` vote encounters (plus one
 //                    moderation encounter when --mods > 0), BYE, report
-//   --oracle         run the identical schedule through vote::vote_exchange /
-//                    moderation::exchange in one process and report both
-//                    endpoints' state — the golden the TCP run must match
+//   --oracle         run the identical schedule through vote::vote_encounter /
+//                    moderation::exchange — the bodies the simulator runs —
+//                    in one process and report both endpoints' state, the
+//                    golden the TCP run must match
 //   --swarm          free-running cluster member: listen, bootstrap the
 //                    Newscast directory from --bootstrap H:P, and let the
 //                    EncounterScheduler discover peers and run encounters
@@ -69,6 +70,9 @@ struct Options {
 };
 
 constexpr Time kRoundPeriod = 1000;
+/// Swarm mode's HELLO and mid-encounter progress deadlines, in wall ms
+/// (NodeService leaves both off by default).
+constexpr int kDeadlineMs = 2000;
 
 Time round_time(int round) { return kRoundPeriod * (round + 1); }
 
@@ -330,9 +334,9 @@ int run_swarm(const Options& opt) {
   // leaves the shim detached (the inert path — byte-identical to a build
   // without it). Constructed before the NodeService because ~NodeService
   // detaches its streams from the shim.
-  const sim::options::NetOptions nopt = sim::options::net();
-  const std::string spec =
-      !opt.impair_spec.empty() ? opt.impair_spec : nopt.impair_spec;
+  const std::string spec = !opt.impair_spec.empty()
+                               ? opt.impair_spec
+                               : sim::options::net_impair_spec();
   net::ImpairConfig icfg;
   std::string ierr;
   if (!spec.empty() && !net::parse_impair_spec(spec, icfg, &ierr)) {
@@ -359,14 +363,8 @@ int run_swarm(const Options& opt) {
   std::printf("listening %u\n", svc.listen_port());
   std::fflush(stdout);
 
-  net::PeerDirectoryConfig dcfg;
-  dcfg.view_size = nopt.view_size;
-  dcfg.shuffle_size = nopt.shuffle_size;
-  dcfg.max_dial_failures = nopt.max_dial_failures;
-  dcfg.entry_ttl = nopt.entry_ttl;
-  dcfg.quarantine_ttl = nopt.quarantine_ttl;
   net::PeerDirectory dir(opt.id, self.keys, parse_ipv4(opt.advertise_ip),
-                         svc.listen_port(), dcfg,
+                         svc.listen_port(), net::PeerDirectoryConfig{},
                          util::Rng(opt.seed * 7919 + 3));
   dir.set_exchange_probe(
       telemetry::Counter(&registry, registry.counter("pss.exchanges")));
@@ -374,11 +372,9 @@ int run_swarm(const Options& opt) {
   // Encounter deadlines are on by default in swarm mode: a free-running
   // harness must survive half-open peers unattended.
   if (impair != nullptr) svc.set_impairment(impair.get());
-  svc.set_deadlines(nopt.hello_timeout_ms, nopt.encounter_timeout_ms);
+  svc.set_deadlines(kDeadlineMs, kDeadlineMs);
 
   net::EncounterSchedulerConfig scfg;
-  scfg.round_ms = nopt.round_ms;
-  scfg.max_dials = nopt.max_dials;
   scfg.mod_every = opt.mods > 0 ? 4 : 0;
   net::EncounterScheduler sched(loop, svc, dir, scfg);
   if (impair != nullptr) sched.set_impairment(impair.get());
@@ -394,7 +390,7 @@ int run_swarm(const Options& opt) {
   std::uint64_t casts_applied = 0;
   const auto start = std::chrono::steady_clock::now();
   const int budget_ms =
-      opt.max_ms > 0 ? opt.max_ms : opt.rounds * nopt.round_ms * 10 + 10000;
+      opt.max_ms > 0 ? opt.max_ms : opt.rounds * scfg.round_ms * 10 + 10000;
   const auto deadline = start + std::chrono::milliseconds(budget_ms);
   while (sched.stats().rounds < static_cast<std::uint64_t>(opt.rounds) &&
          std::chrono::steady_clock::now() < deadline) {
@@ -548,7 +544,7 @@ int main(int argc, char** argv) {
   }
   if (cli.error()) return usage();
 
-  const sim::options::NetOptions nopt = sim::options::net();
+  const std::string env_impair = sim::options::net_impair_spec();
   sim::options::banner(
       "tribvote_node",
       {{"mode", opt.swarm ? "swarm"
@@ -560,13 +556,9 @@ int main(int argc, char** argv) {
        {"rounds", std::to_string(opt.rounds)},
        {"casts", std::to_string(opt.casts)},
        {"mods", std::to_string(opt.mods)},
-       {"view", std::to_string(nopt.view_size)},
-       {"shuffle", std::to_string(nopt.shuffle_size)},
-       {"round_ms", std::to_string(nopt.round_ms)},
-       {"dials", std::to_string(nopt.max_dials)},
-       {"impair", opt.impair_spec.empty()
-                      ? (nopt.impair_spec.empty() ? "off" : nopt.impair_spec)
-                      : opt.impair_spec}});
+       {"impair", !opt.impair_spec.empty() ? opt.impair_spec
+                  : !env_impair.empty()       ? env_impair
+                                              : "off"}});
 
   if (opt.swarm) return run_swarm(opt);
   if (opt.oracle) return run_oracle(opt);

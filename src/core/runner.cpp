@@ -5,7 +5,8 @@
 
 #include "metrics/cev.hpp"
 #include "metrics/degradation.hpp"
-#include "moderation/moderation.hpp"
+#include "moderation/moderationcast.hpp"
+#include "vote/encounter.hpp"
 
 namespace tribvote::core {
 
@@ -15,60 +16,20 @@ namespace {
 constexpr double kColluderUploadKbps = 1.0;
 constexpr double kColluderDownloadKbps = 1024.0;
 
-/// Fold a receive verdict into the run counters: kAccepted counts as
-/// accepted, and kInexperienced is the only other verdict a non-empty
-/// undamaged message produces (pairing never bounces a message back to its
-/// signer, and every agent — colluders included — signs with its own key).
-void note_vote_receive(RunStats& st, vote::ReceiveResult r) {
+/// Fold a delivered leg's receive verdict into the run counters: kAccepted
+/// counts as accepted, and kInexperienced is the only other verdict a
+/// non-empty undamaged message produces (pairing never bounces a message
+/// back to its signer, and every agent — colluders included — signs with
+/// its own key). A damaged leg's rejection counts in `fault`.
+void note_vote_receive(RunStats& st, sim::FaultCounters& fault,
+                       vote::ReceiveResult r, util::PayloadFault damage) {
   if (r == vote::ReceiveResult::kAccepted) {
     ++st.votes_accepted;
   } else if (r == vote::ReceiveResult::kInexperienced) {
     ++st.votes_rejected_inexperienced;
-  }
-}
-
-/// Map a fault-plane payload verdict onto the vote layer's sim-agnostic
-/// wire-fault enum (vote/ cannot include sim/).
-vote::WireFault to_wire(sim::PayloadFault fault) {
-  switch (fault) {
-    case sim::PayloadFault::kTruncated:
-      return vote::WireFault::kTruncated;
-    case sim::PayloadFault::kCorrupted:
-      return vote::WireFault::kCorrupted;
-    case sim::PayloadFault::kNone:
-      break;
-  }
-  return vote::WireFault::kNone;
-}
-
-/// Wire bytes of the opening frame a sender would put on the wire toward
-/// `receiver` — a digest when the delta path is open, else the full
-/// message. Used to account frames the fault plane drops before delivery.
-std::size_t first_frame_bytes(const vote::VoteAgent& sender,
-                              const vote::VoteListMessage& msg,
-                              PeerId receiver) {
-  if (sender.config().gossip_cache && !msg.votes.empty() &&
-      sender.counterparts().known(receiver)) {
-    return vote::wire_size(vote::make_digest(msg));
-  }
-  return vote::wire_size(msg);
-}
-
-/// In-flight damage to a moderation batch. Items are individually signed,
-/// so truncation loses the tail and corruption damages exactly one item —
-/// the receiver's per-item verification drops it and merges the rest.
-void corrupt_moderation_batch(std::vector<moderation::Moderation>& items,
-                              sim::PayloadFault fault, std::uint64_t salt) {
-  if (items.empty()) return;
-  switch (fault) {
-    case sim::PayloadFault::kNone:
-      return;
-    case sim::PayloadFault::kTruncated:
-      items.resize((items.size() + 1) / 2);
-      return;
-    case sim::PayloadFault::kCorrupted:
-      items[salt % items.size()].signature.s ^= std::uint64_t{1} << (salt & 63);
-      return;
+  } else if (r == vote::ReceiveResult::kBadSignature &&
+             damage != util::PayloadFault::kNone) {
+    ++fault.rejected;
   }
 }
 
@@ -77,15 +38,16 @@ void corrupt_moderation_batch(std::vector<moderation::Moderation>& items,
 /// as adjacent to its sender, which is exactly the record-wise check
 /// BarterAgent::receive applies; truncation just loses the tail.
 std::size_t corrupt_barter_batch(std::vector<bartercast::BarterRecord>& records,
-                                 sim::PayloadFault fault, std::uint64_t salt) {
+                                 util::PayloadFault fault,
+                                 std::uint64_t salt) {
   if (records.empty()) return 0;
   switch (fault) {
-    case sim::PayloadFault::kNone:
+    case util::PayloadFault::kNone:
       return 0;
-    case sim::PayloadFault::kTruncated:
+    case util::PayloadFault::kTruncated:
       records.resize((records.size() + 1) / 2);
       return 0;
-    case sim::PayloadFault::kCorrupted: {
+    case util::PayloadFault::kCorrupted: {
       bartercast::BarterRecord& r = records[salt % records.size()];
       r.from = kInvalidPeer;
       r.to = kInvalidPeer;
@@ -643,10 +605,11 @@ void ScenarioRunner::merge_lane_stats() {
 
 void ScenarioRunner::vote_round() {
   // One BallotBox (+ conditional VoxPopuli) exchange per pair (Fig. 3
-  // active thread), fanned out across the shard kernel. The exchange body
-  // touches only the two endpoint nodes, its lane's counter block and the
-  // fault plane's lane-local buffers. With faults off every verdict is
-  // all-clear and the body runs vote::vote_encounter's call sequence.
+  // active thread), fanned out across the shard kernel. Each encounter is
+  // vote::vote_encounter under its fault verdict; the body touches only
+  // the two endpoint nodes, its lane's counter block and the fault plane's
+  // lane-local buffers, and keeps the simulator's part: unreachable
+  // encounters, deferred deliveries, VoxPopuli retries and the counters.
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "vote.round");
   // Adversary hook before pairing: presence flips apply before the round
@@ -654,112 +617,65 @@ void ScenarioRunner::vote_round() {
   // serial, so the round stays shard-invariant.
   if (adversary_) adversary_->on_vote_round(now);
   const std::vector<sim::Encounter> encounters = pair_round();
-  const std::vector<sim::EncounterFaults>& faults =
+  const std::vector<util::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kVote, encounters);
   kernel_->run_round(
       encounters,
       [this, now, &faults](const sim::Encounter& e, std::size_t lane) {
+        const util::EncounterFaults& f = faults[e.seq];
+        if (f.unreachable) return;  // endpoint crashed earlier this round
         RunStats& st = lane_stats_[lane];
         sim::FaultStats& fs = fault_plane_->lane_stats(lane);
-        const sim::EncounterFaults& f = faults[e.seq];
-        if (f.unreachable) return;  // endpoint crashed earlier this round
-        Node& ni = *nodes_[e.initiator];
-        Node& nj = *nodes_[e.responder];
-
-        if (f.drop_request) {
-          // The responder never learns of the encounter. The opening frame
-          // (digest or full list, whatever the delta path would ship) was
-          // still built, signed-or-cached and put on the wire — account
-          // it. A bootstrapping initiator's VP request rode the same dial
-          // and timed out with it; the retry chain takes over after the
-          // round.
-          const vote::VoteListMessage from_i = outgoing_votes(ni, now);
-          probes_.gossip_bytes.add(
-              first_frame_bytes(ni.vote(), from_i, e.responder));
-          if (ni.vote().bootstrapping()) {
-            ++fs.vox.timeouts;
-            fault_plane_->record_vp_failure(lane, e.seq, e.initiator);
-          }
-          return;
+        vote::VoteEncounterOutcome o =
+            vote::vote_encounter(nodes_[e.initiator]->vote(),
+                                 nodes_[e.responder]->vote(), now, f);
+        note_gossip_leg(o.forward, f.drop_request);
+        if (o.vox_requested && (f.drop_request || f.reply_lost())) {
+          // The VP request timed out with the dial or the reply; the retry
+          // chain takes over after the round.
+          ++fs.vox.timeouts;
+          fault_plane_->record_vp_failure(lane, e.seq, e.initiator);
         }
-        const vote::GossipLegOutcome leg_ij = vote::gossip_send(
-            ni.vote(), nj.vote(), now, to_wire(f.request_payload),
-            f.payload_salt);
-        probes_.vote_list_size.observe(static_cast<double>(leg_ij.list_size));
-        note_vote_receive(st, leg_ij.result);
-        note_gossip_leg(leg_ij);
-        if (f.request_payload != sim::PayloadFault::kNone &&
-            leg_ij.result == vote::ReceiveResult::kBadSignature) {
-          ++fs.vote.rejected;
-        }
-
+        if (f.drop_request) return;
+        note_vote_receive(st, fs.vote, o.forward.result, f.request_payload);
         if (!f.reply_lost()) {
-          if (f.delay_reply > 0) {
-            // A delayed reply is serialized and delivered later, so it
-            // always travels as a full (cache-served) message — the delta
-            // handshake needs both endpoints live in the same round.
-            vote::VoteListMessage from_j = outgoing_votes(nj, now);
-            vote::damage_message(from_j, to_wire(f.reply_payload),
-                                 f.payload_salt + 1);
-            probes_.gossip_bytes.add(vote::wire_size(from_j));
-            probes_.gossip_full.add();
+          note_gossip_leg(o.reverse);
+          if (!o.held) {
+            note_vote_receive(st, fs.vote, o.reverse.result, f.reply_payload);
+          }
+          if (o.vox_topk > 0) {
+            ++st.vp_requests_answered;
+            probes_.vox_topk_size.observe(static_cast<double>(o.vox_topk));
+          } else if (o.vox_requested) {
+            ++st.vp_requests_null;
+          }
+        }
+        if (o.held) {
+          fault_plane_->defer(
+              lane, e.seq, f.delay_reply,
+              [this, votes = std::move(o.held->votes), i = e.initiator,
+               damage = f.reply_payload] {
+                sim::FaultStats& serial = fault_plane_->serial_stats();
+                if (!online_.is_online(i)) {
+                  ++serial.vote.late_drops;
+                  return;
+                }
+                note_vote_receive(
+                    stats_, serial.vote,
+                    nodes_[i]->vote().receive_votes(votes, sim_.now()),
+                    damage);
+              });
+          if (!o.held->topk.empty()) {
             fault_plane_->defer(
                 lane, e.seq, f.delay_reply,
-                [this, from_j = std::move(from_j), i = e.initiator,
-                 damaged = f.reply_payload != sim::PayloadFault::kNone] {
-                  sim::FaultStats& serial = fault_plane_->serial_stats();
+                [this, topk = std::move(o.held->topk),
+                 i = e.initiator]() mutable {
                   if (!online_.is_online(i)) {
-                    ++serial.vote.late_drops;
+                    ++fault_plane_->serial_stats().vox.late_drops;
                     return;
                   }
-                  const vote::ReceiveResult r =
-                      nodes_[i]->vote().receive_votes(from_j, sim_.now());
-                  note_vote_receive(stats_, r);
-                  if (damaged && r == vote::ReceiveResult::kBadSignature) {
-                    ++serial.vote.rejected;
-                  }
+                  nodes_[i]->vote().receive_topk(std::move(topk));
                 });
-          } else {
-            const vote::GossipLegOutcome leg_ji = vote::gossip_send(
-                nj.vote(), ni.vote(), now, to_wire(f.reply_payload),
-                f.payload_salt + 1);
-            probes_.vote_list_size.observe(
-                static_cast<double>(leg_ji.list_size));
-            note_vote_receive(st, leg_ji.result);
-            note_gossip_leg(leg_ji);
-            if (f.reply_payload != sim::PayloadFault::kNone &&
-                leg_ji.result == vote::ReceiveResult::kBadSignature) {
-              ++fs.vote.rejected;
-            }
-          }
-        }
-
-        // VoxPopuli leg: the top-K answer shares the reply's fate.
-        if (ni.vote().bootstrapping()) {
-          if (f.reply_lost()) {
-            ++fs.vox.timeouts;
-            fault_plane_->record_vp_failure(lane, e.seq, e.initiator);
-          } else {
-            vote::RankedList topk = nj.vote().answer_topk();
-            if (topk.empty()) {
-              ++st.vp_requests_null;
-            } else {
-              ++st.vp_requests_answered;
-              probes_.vox_topk_size.observe(static_cast<double>(topk.size()));
-              if (f.delay_reply > 0) {
-                fault_plane_->defer(
-                    lane, e.seq, f.delay_reply,
-                    [this, topk = std::move(topk), i = e.initiator]() mutable {
-                      if (!online_.is_online(i)) {
-                        ++fault_plane_->serial_stats().vox.late_drops;
-                        return;
-                      }
-                      nodes_[i]->vote().receive_topk(std::move(topk));
-                    });
-              } else {
-                ni.vote().receive_topk(std::move(topk));
-              }
-            }
           }
         }
         ++st.vote_exchanges;
@@ -770,58 +686,38 @@ void ScenarioRunner::vote_round() {
 }
 
 void ScenarioRunner::moderation_round() {
+  // One ModerationCast push/pull per pair: moderation::exchange under the
+  // encounter's fault verdict, with a held reply delivered after the round.
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "moderation.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  const std::vector<sim::EncounterFaults>& faults =
+  const std::vector<util::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kModeration, encounters);
   kernel_->run_round(
       encounters,
       [this, now, &faults](const sim::Encounter& e, std::size_t lane) {
-        const sim::EncounterFaults& f = faults[e.seq];
+        const util::EncounterFaults& f = faults[e.seq];
         if (f.unreachable) return;
         sim::FaultStats& fs = fault_plane_->lane_stats(lane);
-        moderation::ModerationCastAgent& mi = nodes_[e.initiator]->mod();
-        moderation::ModerationCastAgent& mj = nodes_[e.responder]->mod();
-
-        std::vector<moderation::Moderation> from_i = mi.outgoing();
-        probes_.mod_batch_size.observe(static_cast<double>(from_i.size()));
-        if (f.drop_request) {
-          // The sender learns of the loss (no ack) and queues the batch
-          // for re-offer on its next encounter.
-          fs.moderation.reoffers += mi.note_undelivered(from_i);
-          return;
-        }
-        // Fig. 1 order: the responder extracts before merging. Queue the
-        // re-offer from the *pristine* batch before any in-flight damage.
-        std::vector<moderation::Moderation> from_j = mj.outgoing();
-        probes_.mod_batch_size.observe(static_cast<double>(from_j.size()));
-        if (f.reply_lost()) {
-          fs.moderation.reoffers += mj.note_undelivered(from_j);
-        }
-        corrupt_moderation_batch(from_i, f.request_payload, f.payload_salt);
-        const moderation::ModerationCastAgent::ReceiveStats rs_j =
-            mj.receive(from_i, now);
-        fs.moderation.rejected += rs_j.bad_signature;
-        if (!f.reply_lost()) {
-          corrupt_moderation_batch(from_j, f.reply_payload,
-                                   f.payload_salt + 1);
-          if (f.delay_reply > 0) {
-            fault_plane_->defer(
-                lane, e.seq, f.delay_reply,
-                [this, from_j = std::move(from_j), i = e.initiator] {
-                  sim::FaultStats& serial = fault_plane_->serial_stats();
-                  if (!online_.is_online(i)) {
-                    ++serial.moderation.late_drops;
-                    return;
-                  }
-                  serial.moderation.rejected +=
-                      nodes_[i]->mod().receive(from_j, sim_.now())
-                          .bad_signature;
-                });
-          } else {
-            fs.moderation.rejected += mi.receive(from_j, now).bad_signature;
-          }
+        moderation::ExchangeStats x = moderation::exchange(
+            nodes_[e.initiator]->mod(), nodes_[e.responder]->mod(), now, f);
+        probes_.mod_batch_size.observe(static_cast<double>(x.sent_initiator));
+        fs.moderation.reoffers += x.reoffered;
+        if (f.drop_request) return;
+        probes_.mod_batch_size.observe(static_cast<double>(x.sent_responder));
+        fs.moderation.rejected += x.rejected;
+        if (x.held_reply) {
+          fault_plane_->defer(
+              lane, e.seq, f.delay_reply,
+              [this, items = std::move(*x.held_reply), i = e.initiator] {
+                sim::FaultStats& serial = fault_plane_->serial_stats();
+                if (!online_.is_online(i)) {
+                  ++serial.moderation.late_drops;
+                  return;
+                }
+                serial.moderation.rejected +=
+                    nodes_[i]->mod().receive(items, sim_.now()).bad_signature;
+              });
         }
         ++lane_stats_[lane].moderation_exchanges;
       });
@@ -835,12 +731,12 @@ void ScenarioRunner::barter_round() {
   const Time now = sim_.now();
   telemetry::Span span(telemetry_.get(), "barter.round");
   const std::vector<sim::Encounter> encounters = pair_round();
-  const std::vector<sim::EncounterFaults>& faults =
+  const std::vector<util::EncounterFaults>& faults =
       fault_plane_->draw_round(sim::Protocol::kBarter, encounters);
   kernel_->run_round(
       encounters,
       [this, now, &faults](const sim::Encounter& e, std::size_t lane) {
-        const sim::EncounterFaults& f = faults[e.seq];
+        const util::EncounterFaults& f = faults[e.seq];
         if (f.unreachable) return;
         sim::FaultStats& fs = fault_plane_->lane_stats(lane);
         bartercast::BarterAgent& bi = nodes_[e.initiator]->barter();
@@ -885,18 +781,6 @@ void ScenarioRunner::barter_round() {
       });
   merge_lane_stats();
   flush_round_faults();
-}
-
-vote::VoteListMessage ScenarioRunner::outgoing_votes(Node& node, Time now) {
-  const vote::GossipStats before = node.vote().gossip_stats();
-  vote::VoteListMessage msg = node.vote().outgoing_votes(now);
-  probes_.vote_list_size.observe(static_cast<double>(msg.votes.size()));
-  const vote::GossipStats& after = node.vote().gossip_stats();
-  if (after.cache_hits > before.cache_hits) probes_.gossip_cache_hits.add();
-  if (after.signatures > before.signatures) {
-    probes_.gossip_signatures.add(after.signatures - before.signatures);
-  }
-  return msg;
 }
 
 void ScenarioRunner::flush_round_faults() {

@@ -242,22 +242,16 @@ class ScenarioRunner {
         .add();
   }
   /// Account one directed gossip leg (lane-local; inert when telemetry
-  /// off). Bytes cover every frame the leg put on the wire.
-  void note_gossip_leg(const vote::GossipLegOutcome& leg) {
+  /// off): the sender's list size, build costs and every frame it put on
+  /// the wire. A lost leg counts as neither a full nor a delta exchange.
+  void note_gossip_leg(const vote::GossipLegOutcome& leg, bool lost = false) {
+    probes_.vote_list_size.observe(static_cast<double>(leg.list_size));
     probes_.gossip_bytes.add(leg.bytes);
-    if (leg.delta) {
-      probes_.gossip_delta.add();
-    } else {
-      probes_.gossip_full.add();
-    }
+    if (!lost) (leg.delta ? probes_.gossip_delta : probes_.gossip_full).add();
     if (leg.fallback_full) probes_.gossip_fallbacks.add();
     if (leg.cache_hit) probes_.gossip_cache_hits.add();
     if (leg.signatures > 0) probes_.gossip_signatures.add(leg.signatures);
   }
-  /// Build `node`'s vote list for a leg that bypasses gossip_send (a lost
-  /// request or a delayed reply) and account the build like a leg: list
-  /// size, cache hit, signing operations.
-  [[nodiscard]] vote::VoteListMessage outgoing_votes(Node& node, Time now);
   /// Count a moderation being published. The publisher holds its own item,
   /// so it counts as "reached" too (publish() fires no on_new_moderation —
   /// that callback is receive-side only).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace tribvote::moderation {
 
@@ -97,6 +98,21 @@ void ModerationCastAgent::handle_disapproval(ModeratorId moderator) {
   db_.purge_moderator(moderator);
 }
 
+void damage_batch(std::vector<Moderation>& items, util::PayloadFault fault,
+                  std::uint64_t salt) {
+  if (items.empty()) return;
+  switch (fault) {
+    case util::PayloadFault::kNone:
+      return;
+    case util::PayloadFault::kTruncated:
+      items.resize((items.size() + 1) / 2);
+      return;
+    case util::PayloadFault::kCorrupted:
+      items[salt % items.size()].signature.s ^= std::uint64_t{1} << (salt & 63);
+      return;
+  }
+}
+
 std::vector<Moderation> respond_exchange(
     ModerationCastAgent& responder, const std::vector<Moderation>& incoming,
     Time now, ModerationCastAgent::ReceiveStats* stats) {
@@ -110,16 +126,36 @@ std::vector<Moderation> respond_exchange(
 }
 
 ExchangeStats exchange(ModerationCastAgent& initiator,
-                       ModerationCastAgent& responder, Time now) {
-  std::vector<Moderation> from_initiator = initiator.outgoing();
-  ModerationCastAgent::ReceiveStats responder_merge;
-  const std::vector<Moderation> from_responder =
-      respond_exchange(responder, from_initiator, now, &responder_merge);
+                       ModerationCastAgent& responder, Time now,
+                       const util::EncounterFaults& verdict) {
   ExchangeStats stats;
+  std::vector<Moderation> from_initiator = initiator.outgoing();
   stats.sent_initiator = from_initiator.size();
+  if (verdict.drop_request) {
+    stats.reoffered += initiator.note_undelivered(from_initiator);
+    return stats;
+  }
+  damage_batch(from_initiator, verdict.request_payload, verdict.payload_salt);
+  ModerationCastAgent::ReceiveStats responder_merge;
+  std::vector<Moderation> from_responder =
+      respond_exchange(responder, from_initiator, now, &responder_merge);
   stats.sent_responder = from_responder.size();
   stats.inserted += responder_merge.inserted;
-  stats.inserted += initiator.receive(from_responder, now).inserted;
+  stats.rejected += responder_merge.bad_signature;
+  if (verdict.reply_lost()) {
+    // Re-offer from the batch as built, before any in-flight damage.
+    stats.reoffered += responder.note_undelivered(from_responder);
+    return stats;
+  }
+  damage_batch(from_responder, verdict.reply_payload, verdict.payload_salt + 1);
+  if (verdict.delay_reply > 0) {
+    stats.held_reply = std::move(from_responder);
+    return stats;
+  }
+  const ModerationCastAgent::ReceiveStats initiator_merge =
+      initiator.receive(from_responder, now);
+  stats.inserted += initiator_merge.inserted;
+  stats.rejected += initiator_merge.bad_signature;
   return stats;
 }
 

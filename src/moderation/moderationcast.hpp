@@ -9,10 +9,12 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "moderation/db.hpp"
 #include "util/rng.hpp"
+#include "util/transit.hpp"
 
 namespace tribvote::moderation {
 
@@ -91,22 +93,42 @@ struct ExchangeStats {
   std::size_t sent_initiator = 0;  ///< items in the initiator's push
   std::size_t sent_responder = 0;  ///< items in the responder's reply
   std::size_t inserted = 0;        ///< new items merged, both sides
+  std::size_t rejected = 0;   ///< damaged items rejected on merge, both sides
+  std::size_t reoffered = 0;  ///< items queued for re-offer after a loss
+  /// The responder's reply a deferring verdict holds in flight, already
+  /// damaged; the caller merges it into the initiator later.
+  std::optional<std::vector<Moderation>> held_reply;
 };
+
+/// In-flight damage to a moderation batch. Items are individually signed,
+/// so truncation loses the tail and corruption damages exactly one item —
+/// the receiver's per-item verification drops it and merges the rest.
+void damage_batch(std::vector<Moderation>& items, util::PayloadFault fault,
+                  std::uint64_t salt);
 
 /// Responder half of one push/pull exchange, in Fig. 1 order: the reply
 /// batch is extracted *before* the initiator's items merge (ml_j is built
-/// before merging ml_i). This is the single definition both transports use
-/// — exchange() below composes it for the simulator, the socket plane's
-/// ExchangeEngine calls it when serving a MOD_BATCH — so a wire moderation
+/// before merging ml_i). exchange() below composes it; the socket plane's
+/// ExchangeEngine calls it when serving a MOD_BATCH, so a wire moderation
 /// encounter leaves the responder bit-identical to the sim. `stats`, when
 /// given, receives the merge outcome of the initiator's batch.
 [[nodiscard]] std::vector<Moderation> respond_exchange(
     ModerationCastAgent& responder, const std::vector<Moderation>& incoming,
     Time now, ModerationCastAgent::ReceiveStats* stats = nullptr);
 
-/// One full push/pull exchange between two online agents (both directions),
-/// as performed by the active/passive thread pair in Fig. 1.
+/// One full push/pull exchange between two online agents (both
+/// directions), as performed by the active/passive thread pair in Fig. 1,
+/// under `verdict` (default all-clear; `unreachable` is the caller's). The
+/// simulator's moderation round runs it under each encounter's verdict:
+///   * lost request — the initiator hears no ack and queues its batch for
+///     re-offer; the responder never learns of the encounter;
+///   * damaged request or reply — damage_batch in flight, item-wise
+///     rejection on merge;
+///   * lost reply — the responder queues its (undamaged) batch for
+///     re-offer;
+///   * deferred reply — the damaged reply is returned in `held_reply`.
 ExchangeStats exchange(ModerationCastAgent& initiator,
-                       ModerationCastAgent& responder, Time now);
+                       ModerationCastAgent& responder, Time now,
+                       const util::EncounterFaults& verdict = {});
 
 }  // namespace tribvote::moderation

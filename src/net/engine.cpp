@@ -46,10 +46,7 @@ bool ExchangeEngine::open_leg(Leg& leg, std::uint8_t channel,
   // Same predicate and same sender-agent call order as vote::gossip_send:
   // outgoing_votes, (build_delta on request), note_counterpart.
   vote::VoteListMessage full = vote_->outgoing_votes(leg.now);
-  const bool use_delta = vote_->config().gossip_cache &&
-                         !full.votes.empty() &&
-                         vote_->counterparts().known(peer_);
-  if (use_delta) {
+  if (vote_->opens_with_digest(full, peer_)) {
     push(out, FrameType::kVoteDigest, channel,
          encode_vote_digest(vote::make_digest(full)));
     leg.full = std::move(full);
@@ -58,7 +55,7 @@ bool ExchangeEngine::open_leg(Leg& leg, std::uint8_t channel,
     return true;
   }
   push(out, FrameType::kVoteFull, channel, encode_vote_full(full));
-  if (vote_->config().gossip_cache) vote_->note_counterpart(peer_);
+  vote_->note_counterpart(peer_);
   leg.pending_full = false;
   ++counters_.open_full;
   return false;
@@ -78,7 +75,7 @@ bool ExchangeEngine::serve_delta_request(Leg& leg, const Frame& frame,
     push(out, FrameType::kVoteDelta, channel,
          encode_vote_delta(vote_->build_delta(leg.full, missing)));
   }
-  if (vote_->config().gossip_cache) vote_->note_counterpart(peer_);
+  vote_->note_counterpart(peer_);
   leg.pending_full = false;
   return true;
 }
@@ -87,7 +84,7 @@ void ExchangeEngine::serve_full_retry(Leg& leg, std::uint8_t channel,
                                       std::vector<Frame>& out) {
   push(out, FrameType::kVoteFull, channel, encode_vote_full(leg.full));
   ++counters_.fallbacks_served;
-  if (vote_->config().gossip_cache) vote_->note_counterpart(peer_);
+  vote_->note_counterpart(peer_);
   leg.pending_full = false;
 }
 
@@ -95,7 +92,6 @@ bool ExchangeEngine::begin_vote_encounter(Time now, std::vector<Frame>& out) {
   if (!has_peer_ || i_state_ != IState::kIdle) return false;
   i_leg_ = Leg{};
   i_leg_.now = now;
-  i_enc_ = vote::Encounter::begin(*vote_, now);
   push(out, FrameType::kEncounterBegin, init_channel_,
        encode_encounter_begin({kEncounterVote, now}));
   const bool digest = open_leg(i_leg_, init_channel_, out);
@@ -117,10 +113,10 @@ bool ExchangeEngine::begin_moderation_encounter(Time now,
 }
 
 void ExchangeEngine::initiator_wrap(std::vector<Frame>& out) {
-  // The shared encounter core makes the VP decision after both gossip
-  // legs, exactly like vote::vote_encounter: a leg that lifts the box past
-  // B_min suppresses the request on the wire too.
-  if (i_enc_.vox_pending()) {
+  // The VP decision comes after both gossip legs, exactly as in
+  // vote::vote_encounter: a leg that lifts the box past B_min suppresses
+  // the request on the wire too.
+  if (vote_->bootstrapping()) {
     push(out, FrameType::kVoxRequest, init_channel_, {});
     i_state_ = IState::kAwaitVox;
     return;
@@ -214,12 +210,9 @@ bool ExchangeEngine::on_initiator_frame(const Frame& frame,
       {
         vote::RankedList list;
         if (!decode_vox_topk(frame.payload, list)) return fail();
-        i_enc_.finish_vox(std::move(list));
-        if (i_enc_.finish().vox_topk == 0) {
-          ++counters_.vox_null;
-        } else {
-          ++counters_.vox_answered;
-        }
+        // An empty list is the responder's explicit "null" answer.
+        ++(list.empty() ? counters_.vox_null : counters_.vox_answered);
+        vote_->receive_topk(std::move(list));
         push(out, FrameType::kEncounterEnd, ch, {});
         i_state_ = IState::kIdle;
         ++counters_.encounters_completed;
@@ -339,7 +332,7 @@ bool ExchangeEngine::on_responder_frame(const Frame& frame,
         // An empty answer is the protocol's "null" (Fig. 3c) — sent
         // explicitly so the initiator never waits on silence.
         push(out, FrameType::kVoxTopK, ch,
-             encode_vox_topk(vote::Encounter::answer_vox(*vote_)));
+             encode_vox_topk(vote_->answer_topk()));
         return true;
       }
       if (frame.type == FrameType::kEncounterEnd) {

@@ -5,10 +5,11 @@
 // responder side serves the peer's (on the other channel). The per-agent
 // call sequence is exactly vote::vote_encounter's — outgoing_votes /
 // build_delta / note_counterpart on the sender, scan_digest / receive_* on
-// the receiver, answer_topk after both legs — so a completed wire encounter
-// leaves both agents in bit-identical state to the simulator running the
-// same pair at the same timestamp (DESIGN.md §13; verified by
-// tests/net_engine_test.cpp and tests/net_socket_test.cpp).
+// the receiver, then bootstrapping / answer_topk / receive_topk after both
+// legs — so a completed wire encounter leaves both agents in bit-identical
+// state to the simulator running the same pair at the same timestamp
+// (DESIGN.md §13; verified by tests/net_engine_test.cpp and
+// tests/net_socket_test.cpp).
 //
 // The engine never touches a socket: the caller feeds decoded frames and
 // ships whatever the engine emits. The same engine instance therefore runs
@@ -24,7 +25,6 @@
 #include "net/codec.hpp"
 #include "net/frame.hpp"
 #include "vote/agent.hpp"
-#include "vote/encounter.hpp"
 
 namespace tribvote::net {
 
@@ -129,9 +129,9 @@ class ExchangeEngine {
   bool on_initiator_frame(const Frame& frame, std::vector<Frame>& out);
   bool on_responder_frame(const Frame& frame, std::vector<Frame>& out);
 
-  /// Build our leg's opening frame (digest when the counterpart memory
-  /// allows, full otherwise; same predicate as vote::gossip_send). Returns
-  /// true when it opened with a digest.
+  /// Build our leg's opening frame (digest or full, by
+  /// VoteAgent::opens_with_digest). Returns true when it opened with a
+  /// digest.
   bool open_leg(Leg& leg, std::uint8_t channel, std::vector<Frame>& out);
   /// Serve a delta-request / full-request against our pending full message.
   bool serve_delta_request(Leg& leg, const Frame& frame, std::uint8_t channel,
@@ -156,11 +156,6 @@ class ExchangeEngine {
   RState r_state_ = RState::kIdle;
   Leg i_leg_;
   Leg r_leg_;
-  /// The shared begin/finish encounter core for the encounter this node
-  /// currently initiates — the same object vote::vote_encounter composes,
-  /// so the VP decision and merge run through identical code on both
-  /// transports (DESIGN.md §13).
-  vote::Encounter i_enc_;
   Counters counters_;
   std::function<void(std::uint8_t, Time)> begin_hook_;
 };

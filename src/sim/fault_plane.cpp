@@ -7,6 +7,8 @@
 
 namespace tribvote::sim {
 
+using util::PayloadFault;
+
 // ---- config ----------------------------------------------------------------
 
 bool parse_fault_spec(const std::string& spec, FaultConfig& out,
@@ -120,11 +122,11 @@ util::Rng FaultPlane::encounter_stream(Protocol proto, std::uint64_t round,
        static_cast<std::uint64_t>(seq)}));
 }
 
-const std::vector<EncounterFaults>& FaultPlane::draw_round(
+const std::vector<util::EncounterFaults>& FaultPlane::draw_round(
     Protocol proto, const std::vector<Encounter>& encounters) {
-  table_.assign(encounters.size(), EncounterFaults{});
+  table_.assign(encounters.size(), util::EncounterFaults{});
   // A disabled plane hands out this all-clear table: no stream derived, no
-  // counter moved, so it stays byte-inert behind the one faulted round body.
+  // counter moved, so it stays byte-inert behind the one encounter body.
   if (!enabled()) return table_;
   current_proto_ = proto;
   current_round_ = round_counter_[static_cast<std::size_t>(proto)]++;
@@ -142,7 +144,7 @@ const std::vector<EncounterFaults>& FaultPlane::draw_round(
 
   for (const Encounter& e : encounters) {
     assert(e.seq < table_.size());
-    EncounterFaults& f = table_[e.seq];
+    util::EncounterFaults& f = table_[e.seq];
     // A dark endpoint voids the encounter like a crash does: the dial
     // fails outright and the downstream unreachable handling applies.
     if (partitions_on && (partitioned(current_round_, e.initiator) ||

@@ -26,8 +26,11 @@
 // With every probability at zero the plane is inert: enabled() is false,
 // draw_round hands out an all-clear table (every verdict default, no RNG
 // drawn, no counter moved) and finish_round returns an empty outcome, so
-// the runner's single faulted round body executes exactly the fault-free
-// encounter — runs are byte-identical to a build without the plane.
+// each protocol's one encounter body (vote::vote_encounter,
+// moderation::exchange, the runner's barter and Newscast bodies) executes
+// exactly the fault-free encounter — runs are byte-identical to a build
+// without the plane. The verdict type is util::EncounterFaults
+// (util/transit.hpp), so the protocol libraries take it without sim/.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,7 @@
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+#include "util/transit.hpp"
 
 namespace tribvote::sim {
 
@@ -75,46 +79,6 @@ struct FaultConfig : util::ChaosModel {
 
 /// One-line human-readable form for banners ("off" when disabled).
 [[nodiscard]] std::string describe(const FaultConfig& config);
-
-/// What happens to a message body in flight.
-enum class PayloadFault : std::uint8_t {
-  kNone,
-  kTruncated,  ///< partial payload arrives (tail of the batch lost)
-  kCorrupted,  ///< bit damage: a Schnorr signature no longer verifies
-};
-
-/// The pre-drawn fault verdict for one encounter. All-false (the default)
-/// means the encounter executes exactly as in a fault-free run.
-struct EncounterFaults {
-  /// An endpoint crashed at a lower seq this round; the dial fails
-  /// outright and nothing else applies.
-  bool unreachable = false;
-  /// The initiator's request is lost; the responder never learns of the
-  /// encounter (implies no reply, no crash, no payload faults).
-  bool drop_request = false;
-  /// The responder's reply is lost after it processed the request.
-  bool drop_reply = false;
-  /// The responder processes the request, then goes offline; the reply is
-  /// lost and the peer leaves the online set after the round.
-  bool crash_responder = false;
-  /// Non-zero: the reply lands this many ticks later via the event queue.
-  Duration delay_reply = 0;
-  PayloadFault request_payload = PayloadFault::kNone;
-  PayloadFault reply_payload = PayloadFault::kNone;
-  /// Deterministic per-encounter salt for corruption helpers (which bit
-  /// to flip, which item of a batch to damage).
-  std::uint64_t payload_salt = 0;
-
-  /// The initiator hears nothing back (crash or reply loss).
-  [[nodiscard]] bool reply_lost() const noexcept {
-    return drop_reply || crash_responder;
-  }
-  [[nodiscard]] bool any() const noexcept {
-    return unreachable || drop_request || drop_reply || crash_responder ||
-           delay_reply != 0 || request_payload != PayloadFault::kNone ||
-           reply_payload != PayloadFault::kNone;
-  }
-};
 
 /// Degradation counters, tracked per protocol (CSV columns of
 /// bench/abl_fault_sweep and assertions in the fault tests).
@@ -203,7 +167,7 @@ class FaultPlane {
   /// plane returns an all-clear table and advances nothing. The returned
   /// reference is valid until the next draw_round call; the table is
   /// read-only while lanes execute.
-  const std::vector<EncounterFaults>& draw_round(
+  const std::vector<util::EncounterFaults>& draw_round(
       Protocol proto, const std::vector<Encounter>& encounters);
 
   // ---- lane-safe recorders (callable from exchange bodies) -----------------
@@ -252,7 +216,7 @@ class FaultPlane {
   Protocol current_proto_ = Protocol::kVote;
   std::uint64_t current_round_ = 0;
 
-  std::vector<EncounterFaults> table_;
+  std::vector<util::EncounterFaults> table_;
   std::vector<PeerId> crashed_round_;  ///< crash order == seq order
   std::vector<PeerId> crashed_set_;    ///< sorted ids crashed this round
 

@@ -3,12 +3,31 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
 
 namespace tribvote::sim::options {
+
+namespace {
+
+/// Decimal digits only: strtoull would wrap "-1" to 2^64-1 and skip
+/// leading blanks.
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
@@ -26,8 +45,16 @@ std::size_t env_size(const char* name, std::size_t fallback) {
 }
 
 std::uint64_t seed() {
+  constexpr std::uint64_t kDefault = 20090525ULL;
   const char* v = std::getenv("TRIBVOTE_SEED");
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : 20090525ULL;
+  if (v == nullptr || *v == '\0') return kDefault;
+  std::uint64_t parsed = 0;
+  if (parse_u64(v, parsed)) return parsed;
+  std::fprintf(stderr,
+               "warning: TRIBVOTE_SEED=%s is not an unsigned integer; "
+               "using %llu\n",
+               v, static_cast<unsigned long long>(kDefault));
+  return kDefault;
 }
 
 std::size_t replicas() { return env_size("TRIBVOTE_REPLICAS", 10); }
@@ -42,15 +69,6 @@ std::size_t ablation_replicas() {
 std::size_t shards() { return env_size("TRIBVOTE_SHARDS", 1); }
 
 namespace {
-
-/// Like env_size but 0 is a valid value (deadline knobs use 0 = off).
-long env_nonneg(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0' && parsed >= 0) ? parsed : fallback;
-}
 
 /// The spec in environment variable `name`, parsed over a default Config;
 /// a malformed spec falls back to Config{} with a warning naming `fallback`.
@@ -81,28 +99,9 @@ telemetry::TelemetryConfig telemetry() {
       telemetry::parse_telemetry_spec);
 }
 
-NetOptions net() {
-  NetOptions o;
-  o.view_size = env_size("TRIBVOTE_NET_VIEW", o.view_size);
-  o.shuffle_size = env_size("TRIBVOTE_NET_SHUFFLE", o.shuffle_size);
-  o.round_ms = static_cast<int>(
-      env_size("TRIBVOTE_NET_ROUND_MS",
-               static_cast<std::size_t>(o.round_ms)));
-  o.max_dials = env_size("TRIBVOTE_NET_DIALS", o.max_dials);
-  o.max_dial_failures =
-      env_size("TRIBVOTE_NET_DIAL_FAILS", o.max_dial_failures);
-  o.entry_ttl = static_cast<long>(
-      env_size("TRIBVOTE_NET_TTL", static_cast<std::size_t>(o.entry_ttl)));
-  o.quarantine_ttl =
-      env_nonneg("TRIBVOTE_NET_QUARANTINE_TTL", o.quarantine_ttl);
-  if (const char* v = std::getenv("TRIBVOTE_NET_IMPAIR"); v != nullptr) {
-    o.impair_spec = v;  // validated by net::parse_impair_spec downstream
-  }
-  o.hello_timeout_ms = static_cast<int>(
-      env_nonneg("TRIBVOTE_NET_HELLO_MS", o.hello_timeout_ms));
-  o.encounter_timeout_ms = static_cast<int>(
-      env_nonneg("TRIBVOTE_NET_DEADLINE_MS", o.encounter_timeout_ms));
-  return o;
+std::string net_impair_spec() {
+  const char* v = std::getenv("TRIBVOTE_NET_IMPAIR");
+  return v != nullptr ? v : "";
 }
 
 void banner(const char* name,
@@ -151,24 +150,6 @@ bool CliFlags::take(const char* name, std::string& raw) {
 bool CliFlags::value(const char* name, std::string& out) {
   return take(name, out);
 }
-
-namespace {
-
-/// Decimal digits only: strtoull would wrap "-1" to 2^64-1 and skip
-/// leading blanks.
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0])) == 0) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  out = v;
-  return true;
-}
-
-}  // namespace
 
 bool CliFlags::u64(const char* name, std::uint64_t& out) {
   std::string raw;
@@ -222,7 +203,7 @@ bool CliFlags::f64(const char* name, double& out) {
   if (!take(name, raw)) return false;
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end == nullptr || *end != '\0') {
+  if (raw.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
     fail();
   } else {
     out = v;

@@ -9,7 +9,9 @@
 //                          paper's count; set lower for a quick pass)
 //   TRIBVOTE_ABL_REPLICAS  replicas for ablations (default min(4, replicas))
 //   TRIBVOTE_SEED          base seed for the trace dataset (default
-//                          20090525, the IPPS 2009 conference date)
+//                          20090525, the IPPS 2009 conference date); a
+//                          value that is not unsigned decimal digits falls
+//                          back to it with a warning
 //   TRIBVOTE_SHARDS        worker shards per ScenarioRunner (default 1);
 //                          results are bit-identical for any value
 //   TRIBVOTE_FAULTS        network fault spec, e.g.
@@ -29,15 +31,6 @@
 //                          setting)
 //   TRIBVOTE_STREAMING     streaming-swarm workload: "off" (default),
 //                          "on", or "window=8,startup=4,kbps=512"
-//   TRIBVOTE_NET_VIEW      socket-plane Newscast view size (default 20)
-//   TRIBVOTE_NET_SHUFFLE   descriptors per PEER_EXCHANGE (default 16)
-//   TRIBVOTE_NET_ROUND_MS  EncounterScheduler round period (default 100)
-//   TRIBVOTE_NET_DIALS     concurrent dials in flight (default 4)
-//   TRIBVOTE_NET_DIAL_FAILS consecutive dial failures before a descriptor
-//                          is quarantined (default 3)
-//   TRIBVOTE_NET_TTL       descriptor TTL in protocol seconds (default 1800)
-//   TRIBVOTE_NET_QUARANTINE_TTL quarantine tombstone TTL in protocol
-//                          seconds (default 600)
 //   TRIBVOTE_NET_IMPAIR    transport chaos spec (DESIGN.md §16), e.g.
 //                          "loss=0.1,delay=0.2,max_delay_ms=40,
 //                          corrupt=0.01,truncate=0.01,stall=0.005,ge=0.3,
@@ -45,12 +38,6 @@
 //                          (default: off — the goldens' setting). Parsed
 //                          by net::parse_impair_spec in the binaries; sim
 //                          carries it as an opaque string
-//   TRIBVOTE_NET_HELLO_MS  HELLO deadline per connection in wall ms
-//                          (default 2000 in the free-running harnesses;
-//                          0 disables)
-//   TRIBVOTE_NET_DEADLINE_MS mid-encounter progress deadline in wall ms
-//                          (default 2000 in the free-running harnesses;
-//                          0 disables)
 //
 // This header also hosts the shared `--flag value` CLI scanner that
 // scenario_cli and the net binaries (tribvote_node, tribvote_load,
@@ -102,25 +89,9 @@ namespace tribvote::sim::options {
 /// spec falls back to the download workload with a warning on stderr.
 [[nodiscard]] bt::StreamingConfig streaming();
 
-/// Effective socket-plane configuration from the TRIBVOTE_NET_* knobs.
-/// Plain integers: the net:: structs are built from these by the binaries
-/// (sim never links net).
-struct NetOptions {
-  std::size_t view_size = 20;
-  std::size_t shuffle_size = 16;
-  int round_ms = 100;
-  std::size_t max_dials = 4;
-  std::size_t max_dial_failures = 3;
-  long entry_ttl = 1800;       ///< protocol seconds
-  long quarantine_ttl = 600;   ///< protocol seconds
-  /// Opaque TRIBVOTE_NET_IMPAIR chaos spec — handed to
-  /// net::parse_impair_spec by the binaries (sim never links net::).
-  std::string impair_spec;
-  int hello_timeout_ms = 2000;      ///< 0 disables the HELLO deadline
-  int encounter_timeout_ms = 2000;  ///< 0 disables the progress deadline
-};
-
-[[nodiscard]] NetOptions net();
+/// The opaque TRIBVOTE_NET_IMPAIR chaos spec ("" when unset), handed to
+/// net::parse_impair_spec by the binaries (sim never links net::).
+[[nodiscard]] std::string net_impair_spec();
 
 /// One-line "name: k=v k=v ..." banner on `stderr`, echoing the effective
 /// configuration a binary runs with — every net binary prints one so a
@@ -144,7 +115,8 @@ void banner(const char* name,
 /// name AND the value parses; a matching flag with a missing or malformed
 /// value sets error() and stops the scan (next() turns false). Unsigned
 /// matchers take decimal digits only (no sign, no blanks) and reject
-/// values above their type's range; i32 rejects values outside int.
+/// values above their type's range; i32 rejects values outside int; f64
+/// rejects NaN and infinities.
 class CliFlags {
  public:
   CliFlags(int argc, char** argv);

@@ -236,14 +236,12 @@ std::optional<ModeratorId> VoteAgent::top_moderator() const {
 }
 
 GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
-                             WireFault fault, std::uint64_t salt) {
+                             util::PayloadFault fault, std::uint64_t salt) {
   GossipLegOutcome leg;
   const GossipStats before = sender.gossip_stats();
   VoteListMessage full = sender.outgoing_votes(now);
   leg.list_size = full.votes.size();
-  const bool use_delta = sender.config().gossip_cache && !full.votes.empty() &&
-                         sender.counterparts().known(receiver.self());
-  if (!use_delta) {
+  if (!sender.opens_with_digest(full, receiver.self())) {
     damage_message(full, fault, salt);
     leg.bytes = wire_size(full);
     leg.result = receiver.receive_votes(full, now);
@@ -251,7 +249,8 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
     VoteDigestMessage digest = make_digest(full);
     // The fault verdict hits exactly one frame of the leg; the salt routes
     // it to the digest or to the delta, deterministically.
-    const bool hit_digest = fault != WireFault::kNone && ((salt >> 6) & 1) == 0;
+    const bool hit_digest =
+        fault != util::PayloadFault::kNone && ((salt >> 6) & 1) == 0;
     if (hit_digest) damage_digest(digest, fault, salt);
     leg.bytes = wire_size(digest);
     if (!digest_intact(digest)) {
@@ -267,7 +266,7 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
       leg.delta = true;
       const std::vector<std::size_t> missing = receiver.scan_digest(digest);
       leg.bytes += kFrameHeaderBytes + missing.size() * kRequestBytes;
-      if (fault != WireFault::kNone) {
+      if (fault != util::PayloadFault::kNone) {
         // Damage routed to the delta: ship one even when nothing is
         // missing, so the leg deterministically rejects with nothing
         // merged — the same outcome a damaged full message produces.
@@ -286,7 +285,7 @@ GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
       }
     }
   }
-  if (sender.config().gossip_cache) sender.note_counterpart(receiver.self());
+  sender.note_counterpart(receiver.self());
   const GossipStats& after = sender.gossip_stats();
   leg.cache_hit = after.cache_hits > before.cache_hits;
   leg.signatures =

@@ -131,8 +131,20 @@ class VoteAgent {
   [[nodiscard]] const CounterpartMemory& counterparts() const noexcept {
     return counterparts_;
   }
-  /// Record a completed exchange with `peer` (enables delta next time).
-  void note_counterpart(PeerId peer) { counterparts_.note(peer); }
+  /// Record a completed exchange with `peer` (enables delta next time); a
+  /// no-op with the gossip cache off.
+  void note_counterpart(PeerId peer) {
+    if (config_.gossip_cache) counterparts_.note(peer);
+  }
+
+  /// Whether a leg carrying `full` toward `receiver` opens with a digest
+  /// (cache on, something to send, a known counterpart) rather than the
+  /// full message. Every transport opens its legs by this one predicate.
+  [[nodiscard]] bool opens_with_digest(const VoteListMessage& full,
+                                       PeerId receiver) const {
+    return config_.gossip_cache && !full.votes.empty() &&
+           counterparts_.known(receiver);
+  }
 
   // ---- protocol: VoxPopuli ------------------------------------------------
 
@@ -271,8 +283,9 @@ struct GossipLegOutcome {
 /// full-message or digest-first delta path and applying the transit fault
 /// (if any) to whichever frame the salt routes it to. With the gossip
 /// cache off this degrades to exactly the legacy full exchange.
-GossipLegOutcome gossip_send(VoteAgent& sender, VoteAgent& receiver, Time now,
-                             WireFault fault = WireFault::kNone,
-                             std::uint64_t salt = 0);
+GossipLegOutcome gossip_send(
+    VoteAgent& sender, VoteAgent& receiver, Time now,
+    util::PayloadFault fault = util::PayloadFault::kNone,
+    std::uint64_t salt = 0);
 
 }  // namespace tribvote::vote

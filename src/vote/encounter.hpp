@@ -1,87 +1,65 @@
-// The transport-agnostic core of one active-thread vote encounter (Fig. 3).
+// One active-thread vote encounter (Fig. 3): the BallotBox exchange both
+// ways, then a VoxPopuli request while the initiator is bootstrapping.
 //
-// vote::Encounter is the single definition of what a faultless BallotBox +
-// VoxPopuli encounter *does* to the two endpoint agents, exposed as a
-// begin/finish object so every transport drives the identical per-agent
-// call order while keeping its own framing in between:
-//
-//   * the deterministic simulator composes it inline per PSS-sampled pair
-//     (vote_encounter() below, called from core/runner.cpp);
-//   * the socket plane's ExchangeEngine (net/engine.cpp) holds one across
-//     the wire round-trips of an encounter it initiates, and serves the
-//     responder half through the static answer_vox().
-//
-// The shared object is what makes the sim-vs-socket equivalence tests
-// meaningful — see DESIGN.md §13 and PROTOCOL.md §6.
+// vote_encounter is the one body of that encounter. The simulator's vote
+// round (core/runner.cpp) runs it under each encounter's fault verdict;
+// the socket plane's equivalence tests, tribvote_cluster's and
+// tribvote_node's oracles and perf's vote_plane run it all-clear. The
+// socket plane's ExchangeEngine (net/engine.cpp) makes the same agent calls
+// in the same order across its wire round-trips, so an encounter leaves
+// both agents in the same state on every transport (DESIGN.md §13,
+// PROTOCOL.md §6).
 #pragma once
 
+#include <optional>
+
+#include "util/transit.hpp"
 #include "vote/agent.hpp"
 
 namespace tribvote::vote {
 
-/// What one faultless encounter did, for the caller's accounting. The
-/// runner folds these into its probes/RunStats; library users may ignore it.
+/// What one encounter did, for the caller's accounting. The runner folds
+/// these into its probes and RunStats; library users may ignore it.
 struct VoteEncounterOutcome {
-  GossipLegOutcome forward;    ///< initiator → responder leg
-  GossipLegOutcome reverse;    ///< responder → initiator leg
+  /// Initiator → responder leg. Under a lost request only the sender side
+  /// is filled: the opening frame's bytes, list size and build costs.
+  GossipLegOutcome forward;
+  /// Responder → initiator leg; default when the reply is lost. A held
+  /// reply's result is not known yet: the caller delivers it.
+  GossipLegOutcome reverse;
   bool vox_requested = false;  ///< initiator was bootstrapping after legs
   std::size_t vox_topk = 0;    ///< entries in the responder's answer (0=null)
+
+  /// The reply a deferring verdict holds in flight: built (and damaged)
+  /// during the encounter, for the caller to deliver to the initiator
+  /// later — the vote list through receive_votes, then a non-empty top-K
+  /// answer through receive_topk.
+  struct HeldReply {
+    VoteListMessage votes;
+    RankedList topk;
+  };
+  std::optional<HeldReply> held;
 };
 
-/// One encounter from the initiator's side. Usage, in protocol order:
-/// begin → record the two gossip legs (optional, pure accounting) →
-/// vox_pending() → if pending, finish_vox(answer) → finish().
-class Encounter {
- public:
-  Encounter() = default;  ///< inactive; assign from begin()
-
-  [[nodiscard]] static Encounter begin(VoteAgent& initiator, Time now) {
-    Encounter e;
-    e.initiator_ = &initiator;
-    e.now_ = now;
-    return e;
-  }
-
-  /// Fold a completed gossip leg into the outcome (no agent calls — the
-  /// legs themselves run through gossip_send or the wire codecs).
-  void record_forward(const GossipLegOutcome& leg) { out_.forward = leg; }
-  void record_reverse(const GossipLegOutcome& leg) { out_.reverse = leg; }
-
-  /// The VP decision (Fig. 3a), evaluated *after* both gossip legs — a leg
-  /// that lifts the box past B_min suppresses the request on every
-  /// transport alike. Records the decision in the outcome.
-  [[nodiscard]] bool vox_pending() {
-    out_.vox_requested = initiator_->bootstrapping();
-    return out_.vox_requested;
-  }
-
-  /// Responder half of the VP leg (Fig. 3c) — an empty list is the
-  /// protocol's explicit "null" answer.
-  [[nodiscard]] static RankedList answer_vox(VoteAgent& responder) {
-    return responder.answer_topk();
-  }
-
-  /// Initiator half: account and merge a (possibly null) answer.
-  void finish_vox(RankedList answer) {
-    out_.vox_topk = answer.size();
-    if (!answer.empty()) initiator_->receive_topk(std::move(answer));
-  }
-
-  /// Final outcome for the caller's accounting.
-  [[nodiscard]] const VoteEncounterOutcome& finish() const { return out_; }
-
- private:
-  VoteAgent* initiator_ = nullptr;
-  Time now_ = 0;
-  VoteEncounterOutcome out_;
-};
-
-/// One full encounter of `initiator` with a PSS-sampled `responder`:
-/// mutual vote-list exchange (full or digest-first delta per leg, decided
-/// by each sender's counterpart memory), then the conditional VP leg. A
-/// node's outgoing message never depends on what it just received, so the
-/// sequential legs are bit-identical to a simultaneous build-then-merge.
+/// One full encounter of `initiator` with a PSS-sampled `responder` under
+/// `verdict`: mutual vote-list exchange (full or digest-first delta per
+/// leg, decided by each sender's counterpart memory), then the conditional
+/// VP leg, decided after both legs. A node's outgoing message never
+/// depends on what it just received, so the sequential legs are
+/// bit-identical to a simultaneous build-then-merge.
+///
+/// The verdict (default all-clear; `unreachable` is the caller's):
+///   * lost request — the initiator builds and sends its opening frame
+///     (digest or full), which never arrives; nothing else happens;
+///   * damaged request or reply — the leg's frame is damaged in flight and
+///     the receiver rejects it wholesale;
+///   * lost reply — the responder builds no reply and the VP answer is
+///     lost with it;
+///   * deferred reply — the responder's list travels as a full message
+///     (the delta handshake needs both endpoints live), built and damaged
+///     now and returned in `held` with the VP answer.
 VoteEncounterOutcome vote_encounter(VoteAgent& initiator,
-                                    VoteAgent& responder, Time now);
+                                    VoteAgent& responder, Time now,
+                                    const util::EncounterFaults& verdict = {});
 
 }  // namespace tribvote::vote

@@ -70,52 +70,52 @@ std::size_t wire_size(const VoteDeltaMessage& delta) {
          delta.votes.size() * kVoteEntryBytes;
 }
 
-void damage_message(VoteListMessage& msg, WireFault fault,
+void damage_message(VoteListMessage& msg, util::PayloadFault fault,
                     std::uint64_t salt) {
   switch (fault) {
-    case WireFault::kNone:
+    case util::PayloadFault::kNone:
       return;
-    case WireFault::kTruncated:
+    case util::PayloadFault::kTruncated:
       if (msg.votes.empty()) {
         msg.signature.s ^= 1;  // nothing to cut — clip the trailer instead
       } else {
         msg.votes.resize(msg.votes.size() / 2);
       }
       return;
-    case WireFault::kCorrupted:
+    case util::PayloadFault::kCorrupted:
       msg.signature.s ^= std::uint64_t{1} << (salt & 63);
       return;
   }
 }
 
-void damage_digest(VoteDigestMessage& digest, WireFault fault,
+void damage_digest(VoteDigestMessage& digest, util::PayloadFault fault,
                    std::uint64_t salt) {
   switch (fault) {
-    case WireFault::kNone:
+    case util::PayloadFault::kNone:
       return;
-    case WireFault::kTruncated:
+    case util::PayloadFault::kTruncated:
       // The stored checksum now covers entries that were cut off.
       digest.entries.resize(digest.entries.size() / 2);
       return;
-    case WireFault::kCorrupted:
+    case util::PayloadFault::kCorrupted:
       digest.checksum ^= std::uint64_t{1} << (salt & 63);
       return;
   }
 }
 
-void damage_delta(VoteDeltaMessage& delta, WireFault fault,
+void damage_delta(VoteDeltaMessage& delta, util::PayloadFault fault,
                   std::uint64_t salt) {
   switch (fault) {
-    case WireFault::kNone:
+    case util::PayloadFault::kNone:
       return;
-    case WireFault::kTruncated:
+    case util::PayloadFault::kTruncated:
       if (delta.votes.empty()) {
         delta.signature.s ^= 1;
       } else {
         delta.votes.resize(delta.votes.size() / 2);
       }
       return;
-    case WireFault::kCorrupted:
+    case util::PayloadFault::kCorrupted:
       delta.signature.s ^= std::uint64_t{1} << (salt & 63);
       return;
   }

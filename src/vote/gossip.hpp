@@ -20,9 +20,8 @@
 // exchange; a damaged delta rejects like a damaged full message — a leg
 // with a payload fault never merges anything, with cache on or off.
 //
-// This header is sim-agnostic: vote/ must not depend on sim/, so transit
-// damage is expressed as vote::WireFault; the runner maps its fault-plane
-// verdicts onto it.
+// Transit damage is util::PayloadFault, the one fault enum the fault
+// plane draws and every protocol body applies.
 #pragma once
 
 #include <cstdint>
@@ -31,19 +30,12 @@
 
 #include "crypto/schnorr.hpp"
 #include "util/ids.hpp"
+#include "util/transit.hpp"
 #include "vote/vote_list.hpp"
 
 namespace tribvote::vote {
 
 struct VoteListMessage;  // agent.hpp; gossip frames ride the same exchange
-
-/// In-transit damage applied to a gossip frame (mirrors sim::PayloadFault
-/// without a sim/ dependency).
-enum class WireFault : std::uint8_t {
-  kNone,
-  kTruncated,  ///< frame cut short in transit
-  kCorrupted,  ///< bit damage
-};
 
 /// One digest line: "I would send you my vote on `moderator`, whose content
 /// hashes to `check`." The check covers (opinion, cast_at), so a receiver
@@ -111,10 +103,11 @@ inline constexpr std::size_t kRequestBytes = 4;  ///< one missing index
 // a truncated/corrupted full or delta frame fails its signature; a damaged
 // digest fails its checksum and falls back to a full exchange.
 
-void damage_message(VoteListMessage& msg, WireFault fault, std::uint64_t salt);
-void damage_digest(VoteDigestMessage& digest, WireFault fault,
+void damage_message(VoteListMessage& msg, util::PayloadFault fault,
+                    std::uint64_t salt);
+void damage_digest(VoteDigestMessage& digest, util::PayloadFault fault,
                    std::uint64_t salt);
-void damage_delta(VoteDeltaMessage& delta, WireFault fault,
+void damage_delta(VoteDeltaMessage& delta, util::PayloadFault fault,
                   std::uint64_t salt);
 
 /// Bounded memory of counterparts a node has completed an exchange with —

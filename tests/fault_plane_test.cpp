@@ -9,6 +9,9 @@
 namespace tribvote::sim {
 namespace {
 
+using util::EncounterFaults;
+using util::PayloadFault;
+
 bool same_verdict(const EncounterFaults& a, const EncounterFaults& b) {
   return a.unreachable == b.unreachable && a.drop_request == b.drop_request &&
          a.drop_reply == b.drop_reply &&

@@ -306,5 +306,118 @@ TEST_F(CastTest, ExchangeIsBidirectional) {
   EXPECT_EQ(bob.agent.db().count_from(0), 1u);
 }
 
+// ---- exchange under a fault verdict -----------------------------------------
+
+TEST(DamageBatch, TruncationKeepsTheHeadAndCorruptionHitsOneItem) {
+  util::Rng rng(3);
+  const crypto::KeyPair keys = make_keys(1);
+  std::vector<Moderation> batch;
+  for (std::uint64_t h = 1; h <= 3; ++h) {
+    batch.push_back(make_moderation(1, keys, h, "x", 10, rng));
+  }
+  std::vector<Moderation> cut = batch;
+  damage_batch(cut, util::PayloadFault::kTruncated, 0);
+  ASSERT_EQ(cut.size(), 2u);  // half, rounded up
+  EXPECT_EQ(cut[1].infohash, 2u);
+  std::vector<Moderation> hit = batch;
+  damage_batch(hit, util::PayloadFault::kCorrupted, 4);  // item 4 % 3 = 1
+  EXPECT_TRUE(verify_moderation(hit[0]));
+  EXPECT_FALSE(verify_moderation(hit[1]));
+  EXPECT_TRUE(verify_moderation(hit[2]));
+  std::vector<Moderation> none = batch;
+  damage_batch(none, util::PayloadFault::kNone, 4);
+  EXPECT_TRUE(verify_moderation(none[1]));
+}
+
+/// Alice and bob each hold two of their own moderations.
+class ExchangeVerdictTest : public CastTest {
+ protected:
+  ExchangeVerdictTest() {
+    alice.agent.publish(0x1, "a1", 5);
+    alice.agent.publish(0x2, "a2", 6);
+    bob.agent.publish(0x3, "b1", 5);
+    bob.agent.publish(0x4, "b2", 6);
+  }
+  Peer alice{0};
+  Peer bob{1};
+};
+
+TEST_F(ExchangeVerdictTest, AllClearMergesBothWays) {
+  const ExchangeStats x = exchange(alice.agent, bob.agent, 10);
+  EXPECT_EQ(x.sent_initiator, 2u);
+  EXPECT_EQ(x.sent_responder, 2u);
+  EXPECT_EQ(x.inserted, 4u);
+  EXPECT_EQ(x.rejected, 0u);
+  EXPECT_EQ(x.reoffered, 0u);
+  EXPECT_FALSE(x.held_reply.has_value());
+}
+
+TEST_F(ExchangeVerdictTest, LostRequestQueuesTheInitiatorsReoffer) {
+  util::EncounterFaults verdict;
+  verdict.drop_request = true;
+  const ExchangeStats x = exchange(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(x.sent_initiator, 2u);
+  EXPECT_EQ(x.sent_responder, 0u);
+  EXPECT_EQ(x.reoffered, 2u);
+  EXPECT_EQ(alice.agent.pending_reoffers(), 2u);
+  EXPECT_EQ(bob.agent.pending_reoffers(), 0u);
+  EXPECT_EQ(bob.agent.db().count_from(0), 0u);
+  EXPECT_EQ(alice.agent.db().count_from(1), 0u);
+}
+
+TEST_F(ExchangeVerdictTest, DamagedRequestRejectsItemWise) {
+  util::EncounterFaults verdict;
+  verdict.request_payload = util::PayloadFault::kCorrupted;
+  verdict.payload_salt = 1;
+  const ExchangeStats x = exchange(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(x.rejected, 1u);
+  EXPECT_EQ(bob.agent.db().count_from(0), 1u);
+  EXPECT_EQ(alice.agent.db().count_from(1), 2u);
+  EXPECT_EQ(x.inserted, 3u);
+}
+
+TEST_F(ExchangeVerdictTest, LostReplyQueuesTheRespondersReoffer) {
+  util::EncounterFaults verdict;
+  verdict.crash_responder = true;
+  const ExchangeStats x = exchange(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(bob.agent.db().count_from(0), 2u);
+  EXPECT_EQ(alice.agent.db().count_from(1), 0u);
+  EXPECT_EQ(x.sent_responder, 2u);
+  EXPECT_EQ(x.reoffered, 2u);
+  EXPECT_EQ(bob.agent.pending_reoffers(), 2u);
+  EXPECT_EQ(alice.agent.pending_reoffers(), 0u);
+  // The re-offer is the batch as built: it verifies on the next push.
+  const std::vector<Moderation> retry = bob.agent.outgoing();
+  ASSERT_GE(retry.size(), 2u);
+  EXPECT_TRUE(verify_moderation(retry[0]));
+  EXPECT_TRUE(verify_moderation(retry[1]));
+}
+
+TEST_F(ExchangeVerdictTest, DamagedReplyTruncatesTheInitiatorsMerge) {
+  util::EncounterFaults verdict;
+  verdict.reply_payload = util::PayloadFault::kTruncated;
+  const ExchangeStats x = exchange(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(x.sent_responder, 2u);  // as built, before the damage
+  EXPECT_EQ(bob.agent.db().count_from(0), 2u);
+  EXPECT_EQ(alice.agent.db().count_from(1), 1u);
+  EXPECT_EQ(x.rejected, 0u);
+}
+
+TEST_F(ExchangeVerdictTest, DeferredReplyIsHandedBackDamaged) {
+  util::EncounterFaults verdict;
+  verdict.delay_reply = 9;
+  verdict.reply_payload = util::PayloadFault::kCorrupted;
+  verdict.payload_salt = 0;  // the reply uses salt + 1: item 1 of 2
+  ExchangeStats x = exchange(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(bob.agent.db().count_from(0), 2u);
+  ASSERT_TRUE(x.held_reply.has_value());
+  EXPECT_EQ(x.held_reply->size(), 2u);
+  EXPECT_EQ(alice.agent.db().count_from(1), 0u);  // not delivered yet
+  EXPECT_EQ(x.rejected, 0u);
+  const auto merged = alice.agent.receive(*x.held_reply, 19);
+  EXPECT_EQ(merged.inserted, 1u);
+  EXPECT_EQ(merged.bad_signature, 1u);
+}
+
 }  // namespace
 }  // namespace tribvote::moderation

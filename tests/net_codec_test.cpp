@@ -492,7 +492,7 @@ TEST(NetCodecStrict, DecodedForgeryRejectsAsBadSignature) {
   Peer p = make_peer(1, 110);
   Peer q = make_peer(2, 111);
   vote::VoteListMessage msg = signed_message(p, 5, 1000);
-  vote::damage_message(msg, vote::WireFault::kCorrupted, 42);
+  vote::damage_message(msg, util::PayloadFault::kCorrupted, 42);
 
   vote::VoteListMessage decoded;
   ASSERT_TRUE(decode_vote_full(encode_vote_full(msg), decoded));

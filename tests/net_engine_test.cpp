@@ -9,9 +9,10 @@
 // reimplementation that merely converges (DESIGN.md §13).
 //
 // Scenarios: cold full exchange, warm digest/delta, steady-state
-// digest-only close, broken-digest fallback to full, PR 4 fault verdicts
-// (digest-routed and delta-routed) with the sim's one-verdict-poisons-leg
-// rule, VoxPopuli bootstrap, and a moderation push/pull.
+// digest-only close, broken-digest fallback to full, fault verdicts
+// (digest-routed and delta-routed, run through vote_encounter's verdict
+// as the simulator runs them) with the one-verdict-poisons-leg rule,
+// VoxPopuli bootstrap, and a moderation push/pull.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -109,19 +110,12 @@ void wire_encounter(ExchangeEngine& a, ExchangeEngine& b, Time now,
   EXPECT_TRUE(b.responder_idle());
 }
 
-/// The sim oracle for one encounter under a directed transit fault on the
-/// forward leg — vote_encounter's exact body with gossip_send's fault
-/// arguments exposed (vote::vote_encounter itself has no fault hook; the
-/// runner's faulted path composes legs just like this).
-void sim_encounter_faulted(vote::VoteAgent& initiator,
-                           vote::VoteAgent& responder, Time now,
-                           vote::WireFault fault, std::uint64_t salt) {
-  (void)vote::gossip_send(initiator, responder, now, fault, salt);
-  (void)vote::gossip_send(responder, initiator, now);
-  if (initiator.bootstrapping()) {
-    vote::RankedList topk = responder.answer_topk();
-    if (!topk.empty()) initiator.receive_topk(std::move(topk));
-  }
+/// The fault verdict of a request damaged in transit with `salt`.
+util::EncounterFaults damaged_request(std::uint64_t salt) {
+  util::EncounterFaults verdict;
+  verdict.request_payload = util::PayloadFault::kCorrupted;
+  verdict.payload_salt = salt;
+  return verdict;
 }
 
 struct EnginePair {
@@ -244,29 +238,29 @@ TEST(NetEngine, DigestRoutedFaultVerdictMatchesOracle) {
   wire_encounter(e.a, e.b, 100);
   a.cast(12, Opinion::kPositive, 150);
 
-  // PR 4 verdict on the forward leg, salt-routed to the digest
+  // A verdict on the forward leg, salt-routed to the digest
   // ((salt >> 6) & 1 == 0). The sim poisons the whole leg: the fallback
   // full is damaged too and rejects wholesale. Mirror that on the wire by
   // damaging both frame kinds with the same (fault, salt).
   const std::uint64_t salt = 3;
-  sim_encounter_faulted(*a.sim, *b.sim, 200, vote::WireFault::kCorrupted, salt);
+  vote::vote_encounter(*a.sim, *b.sim, 200, damaged_request(salt));
   wire_encounter(e.a, e.b, 200, [salt](Frame& f) {
     if (f.type == FrameType::kVoteDigest) {
       vote::VoteDigestMessage d;
       ASSERT_TRUE(decode_vote_digest(f.payload, d));
-      vote::damage_digest(d, vote::WireFault::kCorrupted, salt);
+      vote::damage_digest(d, util::PayloadFault::kCorrupted, salt);
       f.payload = encode_vote_digest(d);
     } else if (f.type == FrameType::kVoteFull) {
       vote::VoteListMessage m;
       ASSERT_TRUE(decode_vote_full(f.payload, m));
-      vote::damage_message(m, vote::WireFault::kCorrupted, salt);
+      vote::damage_message(m, util::PayloadFault::kCorrupted, salt);
       f.payload = encode_vote_full(m);
     }
   });
 
   expect_twins_match(a, b);
   EXPECT_EQ(e.b.counters().fallbacks_requested, 1u);
-  EXPECT_EQ(e.b.counters().votes_rejected, 1u);  // same accounting as PR 4
+  EXPECT_EQ(e.b.counters().votes_rejected, 1u);  // the sim's accounting
 }
 
 TEST(NetEngine, DeltaRoutedFaultVerdictMatchesOracle) {
@@ -281,12 +275,12 @@ TEST(NetEngine, DeltaRoutedFaultVerdictMatchesOracle) {
   a.cast(12, Opinion::kPositive, 150);  // ensures a non-empty delta
 
   const std::uint64_t salt = 64 + 5;  // bit 6 set: fault routes to the delta
-  sim_encounter_faulted(*a.sim, *b.sim, 200, vote::WireFault::kCorrupted, salt);
+  vote::vote_encounter(*a.sim, *b.sim, 200, damaged_request(salt));
   wire_encounter(e.a, e.b, 200, [salt](Frame& f) {
     if (f.type != FrameType::kVoteDelta) return;
     vote::VoteDeltaMessage d;
     ASSERT_TRUE(decode_vote_delta(f.payload, d));
-    vote::damage_delta(d, vote::WireFault::kCorrupted, salt);
+    vote::damage_delta(d, util::PayloadFault::kCorrupted, salt);
     f.payload = encode_vote_delta(d);
   });
 

@@ -1,5 +1,5 @@
-// Strict parsing of the shared CLI flags and TRIBVOTE_* size knobs
-// (sim/options.hpp). Every case calls the parser directly: an accepted
+// Strict parsing of the shared CLI flags and the TRIBVOTE_* size and seed
+// knobs (sim/options.hpp). Every case calls the parser directly: an accepted
 // "-1" would ask a binary for 2^64-1 nodes or lanes.
 #include <gtest/gtest.h>
 
@@ -90,6 +90,24 @@ TEST(CliFlags, ListenPortStaysInRange) {
   EXPECT_EQ(port, 0u);
 }
 
+bool f64(const char* value, double& out) {
+  return scan("--threshold", value,
+              [&](CliFlags& c) { return c.f64("--threshold", out); });
+}
+
+TEST(CliFlags, RealRejectsNonFiniteValues) {
+  double threshold = 0.25;
+  for (const char* value :
+       {"nan", "NAN", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_FALSE(f64(value, threshold)) << value;
+  }
+  EXPECT_EQ(threshold, 0.25);
+  EXPECT_TRUE(f64("0.5", threshold));
+  EXPECT_EQ(threshold, 0.5);
+  EXPECT_TRUE(f64("-2e3", threshold));
+  EXPECT_EQ(threshold, -2000.0);
+}
+
 TEST(CliFlags, MissingValueIsAnError) {
   char prog[] = "prog";
   char flag[] = "--seed";
@@ -128,6 +146,40 @@ TEST(EnvSize, WellFormedValueParsesSilently) {
   EXPECT_EQ(warned, "");
   unsetenv("TRIBVOTE_SHARDS");
   EXPECT_EQ(env_size("TRIBVOTE_SHARDS", 6), 6u);
+}
+
+/// seed() with TRIBVOTE_SEED set to `value`; `warned` gets stderr.
+std::uint64_t seed_with(const char* value, std::string& warned) {
+  EXPECT_EQ(setenv("TRIBVOTE_SEED", value, 1), 0);
+  testing::internal::CaptureStderr();
+  const std::uint64_t got = seed();
+  warned = testing::internal::GetCapturedStderr();
+  unsetenv("TRIBVOTE_SEED");
+  return got;
+}
+
+TEST(EnvSeed, MalformedValueFallsBackWithAWarning) {
+  constexpr std::uint64_t kDefault = 20090525;
+  for (const char* value :
+       {"12x", "-1", "+5", " 7", "abc", "18446744073709551616"}) {
+    std::string warned;
+    EXPECT_EQ(seed_with(value, warned), kDefault) << value;
+    EXPECT_NE(warned.find("TRIBVOTE_SEED"), std::string::npos) << value;
+  }
+}
+
+TEST(EnvSeed, WellFormedValueParsesSilently) {
+  std::string warned;
+  EXPECT_EQ(seed_with("12", warned), 12u);
+  EXPECT_EQ(warned, "");
+  EXPECT_EQ(seed_with("0", warned), 0u);
+  EXPECT_EQ(warned, "");
+  EXPECT_EQ(seed_with("18446744073709551615", warned), UINT64_MAX);
+  EXPECT_EQ(warned, "");
+  EXPECT_EQ(seed_with("", warned), 20090525u);  // empty reads as unset
+  EXPECT_EQ(warned, "");
+  unsetenv("TRIBVOTE_SEED");
+  EXPECT_EQ(seed(), 20090525u);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 namespace tribvote::vote {
 namespace {
 
+using util::PayloadFault;
+
 // ---- LocalVoteList::version ------------------------------------------------
 
 TEST(VoteListVersion, BumpsOnContentChangeOnly) {
@@ -234,10 +236,10 @@ TEST(DigestCodec, RoundTripAndDamageDetection) {
   }
 
   VoteDigestMessage corrupted = digest;
-  damage_digest(corrupted, WireFault::kCorrupted, 9);
+  damage_digest(corrupted, PayloadFault::kCorrupted, 9);
   EXPECT_FALSE(digest_intact(corrupted));
   VoteDigestMessage truncated = digest;
-  damage_digest(truncated, WireFault::kTruncated, 9);
+  damage_digest(truncated, PayloadFault::kTruncated, 9);
   EXPECT_FALSE(digest_intact(truncated));
   // The digest is strictly smaller than the payload it stands in for.
   EXPECT_LT(wire_size(digest), wire_size(full));
@@ -444,7 +446,8 @@ TEST(GossipFaults, DamagedFullMessageRejectsWholesale) {
   VoteConfig config;
   Peer a = make_peer(1, config, 41), b = make_peer(2, config, 42);
   a.agent->cast_vote(5, Opinion::kPositive, 1);
-  for (const auto fault : {WireFault::kTruncated, WireFault::kCorrupted}) {
+  for (const auto fault :
+       {PayloadFault::kTruncated, PayloadFault::kCorrupted}) {
     const auto leg = gossip_send(*a.agent, *b.agent, 10, fault, 7);
     EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);
     EXPECT_EQ(box_size(b), 0u);  // nothing merged, box not poisoned
@@ -460,8 +463,8 @@ TEST(GossipFaults, DamagedDigestFallsBackToFullAndStillRejects) {
 
   // salt with bit 6 clear routes the damage to the digest frame.
   const std::uint64_t digest_salt = 0x0;
-  const auto leg =
-      gossip_send(*a.agent, *b.agent, 20, WireFault::kCorrupted, digest_salt);
+  const auto leg = gossip_send(*a.agent, *b.agent, 20,
+                               PayloadFault::kCorrupted, digest_salt);
   EXPECT_TRUE(leg.fallback_full);
   EXPECT_FALSE(leg.delta);
   EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);
@@ -479,7 +482,8 @@ TEST(GossipFaults, DamagedDeltaRejectsEvenWhenNothingWasMissing) {
   // must ship a (damaged) delta even though the digest covers everything,
   // so the leg rejects exactly like a damaged full exchange would.
   const std::uint64_t delta_salt = 0x40;
-  for (const auto fault : {WireFault::kTruncated, WireFault::kCorrupted}) {
+  for (const auto fault :
+       {PayloadFault::kTruncated, PayloadFault::kCorrupted}) {
     const auto leg = gossip_send(*a.agent, *b.agent, 20, fault, delta_salt);
     EXPECT_TRUE(leg.delta);
     EXPECT_EQ(leg.result, ReceiveResult::kBadSignature);

@@ -8,6 +8,7 @@
 #include "vote/agent.hpp"
 #include "vote/ballot_box.hpp"
 #include "vote/encounter.hpp"
+#include "vote/gossip.hpp"
 #include "vote/ranking.hpp"
 #include "vote/vote_list.hpp"
 #include "vote/voxpopuli.hpp"
@@ -544,6 +545,159 @@ TEST_F(VoteAgentTest, VoteExchangeFullFlow) {
   vote_encounter(dave.agent, bob.agent, 20);
   EXPECT_EQ(dave.agent.ballot_box().unique_voters(), 0u);
   EXPECT_EQ(dave.agent.vox_cache().list_count(), 1u);
+}
+
+// ---- vote_encounter under a fault verdict -----------------------------------
+
+/// A bootstrapping initiator (alice, B_min = 5) meeting a responder (bob,
+/// B_min = 1) whose box already holds carol's vote, so bob answers the VP
+/// request with a non-null top-K. Both have a vote of their own to send.
+class EncounterVerdictTest : public VoteAgentTest {
+ protected:
+  static VoteConfig answering() {
+    VoteConfig config;
+    config.b_min = 1;
+    return config;
+  }
+
+  EncounterVerdictTest() : bob(1, true, answering()) {
+    alice.agent.cast_vote(3, Opinion::kPositive, 1);
+    bob.agent.cast_vote(4, Opinion::kNegative, 1);
+    bob.agent.preload_sample(2, {{5, Opinion::kPositive, 1}}, 1);
+  }
+
+  Peer alice{0};
+  Peer bob;
+};
+
+TEST_F(EncounterVerdictTest, AllClearRunsBothLegsAndTheVpLeg) {
+  const VoteEncounterOutcome o = vote_encounter(alice.agent, bob.agent, 10);
+  EXPECT_EQ(o.forward.result, ReceiveResult::kAccepted);
+  EXPECT_EQ(o.reverse.result, ReceiveResult::kAccepted);
+  EXPECT_TRUE(o.vox_requested);
+  EXPECT_GT(o.vox_topk, 0u);
+  EXPECT_FALSE(o.held.has_value());
+  EXPECT_EQ(alice.agent.vox_cache().list_count(), 1u);
+  EXPECT_TRUE(alice.agent.counterparts().known(1));
+  EXPECT_TRUE(bob.agent.counterparts().known(0));
+}
+
+TEST_F(EncounterVerdictTest, LostRequestSendsTheOpeningFrameOnly) {
+  const std::uint64_t alice_state = alice.agent.state_digest();
+  const std::uint64_t bob_state = bob.agent.state_digest();
+  util::EncounterFaults verdict;
+  verdict.drop_request = true;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 10, verdict);
+  // Cold pair: the opening frame is the full signed list.
+  EXPECT_EQ(o.forward.list_size, 1u);
+  EXPECT_EQ(o.forward.bytes, wire_size(alice.agent.outgoing_votes(10)));
+  EXPECT_EQ(o.forward.signatures, 1u);
+  EXPECT_EQ(o.reverse.bytes, 0u);
+  EXPECT_TRUE(o.vox_requested);  // and lost with the dial
+  EXPECT_EQ(o.vox_topk, 0u);
+  EXPECT_FALSE(o.held.has_value());
+  // Nobody's protocol state moved: no merge, no counterpart noted.
+  EXPECT_EQ(alice.agent.state_digest(), alice_state);
+  EXPECT_EQ(bob.agent.state_digest(), bob_state);
+  EXPECT_EQ(bob.agent.gossip_stats().builds, 0u);
+}
+
+TEST_F(EncounterVerdictTest, LostRequestToAKnownPeerCountsADigest) {
+  (void)vote_encounter(alice.agent, bob.agent, 10);
+  util::EncounterFaults verdict;
+  verdict.drop_request = true;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 20, verdict);
+  EXPECT_EQ(o.forward.bytes,
+            wire_size(make_digest(alice.agent.outgoing_votes(20))));
+  EXPECT_TRUE(o.forward.cache_hit);
+}
+
+TEST_F(EncounterVerdictTest, DamagedRequestIsRejectedAndTheReplyStillLands) {
+  for (const auto fault :
+       {util::PayloadFault::kTruncated, util::PayloadFault::kCorrupted}) {
+    EncounterVerdictTest::Peer a(0), b(1, true, answering());
+    a.agent.cast_vote(3, Opinion::kPositive, 1);
+    b.agent.cast_vote(4, Opinion::kNegative, 1);
+    util::EncounterFaults verdict;
+    verdict.request_payload = fault;
+    verdict.payload_salt = 11;
+    const VoteEncounterOutcome o =
+        vote_encounter(a.agent, b.agent, 10, verdict);
+    EXPECT_EQ(o.forward.result, ReceiveResult::kBadSignature);
+    EXPECT_EQ(b.agent.ballot_box().size(), 0u);
+    EXPECT_EQ(o.reverse.result, ReceiveResult::kAccepted);
+    EXPECT_EQ(a.agent.ballot_box().unique_voters(), 1u);
+  }
+}
+
+TEST_F(EncounterVerdictTest, LostReplyBuildsNothingAndLosesTheVpAnswer) {
+  const std::uint64_t bob_builds = bob.agent.gossip_stats().builds;
+  util::EncounterFaults verdict;
+  verdict.drop_reply = true;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(o.forward.result, ReceiveResult::kAccepted);
+  EXPECT_EQ(bob.agent.ballot_box().unique_voters(), 2u);  // carol + alice
+  EXPECT_EQ(o.reverse.bytes, 0u);
+  EXPECT_EQ(bob.agent.gossip_stats().builds, bob_builds);
+  EXPECT_FALSE(bob.agent.counterparts().known(0));
+  EXPECT_EQ(alice.agent.ballot_box().size(), 0u);
+  EXPECT_TRUE(o.vox_requested);
+  EXPECT_EQ(o.vox_topk, 0u);
+  EXPECT_EQ(alice.agent.vox_cache().list_count(), 0u);
+  EXPECT_FALSE(o.held.has_value());
+}
+
+TEST_F(EncounterVerdictTest, DamagedReplyIsRejectedByTheInitiator) {
+  util::EncounterFaults verdict;
+  verdict.reply_payload = util::PayloadFault::kCorrupted;
+  verdict.payload_salt = 4;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(o.forward.result, ReceiveResult::kAccepted);
+  EXPECT_EQ(o.reverse.result, ReceiveResult::kBadSignature);
+  EXPECT_EQ(alice.agent.ballot_box().size(), 0u);
+  // The VP answer rides the reply's dial, not its damaged payload.
+  EXPECT_EQ(alice.agent.vox_cache().list_count(), 1u);
+}
+
+TEST_F(EncounterVerdictTest, DeferredReplyIsHandedBackForLaterDelivery) {
+  util::EncounterFaults verdict;
+  verdict.delay_reply = 7;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 10, verdict);
+  EXPECT_EQ(o.forward.result, ReceiveResult::kAccepted);
+  ASSERT_TRUE(o.held.has_value());
+  // Built now as a full message (no delta handshake), delivered by the
+  // caller: the initiator has neither the list nor the VP answer yet.
+  EXPECT_EQ(o.reverse.bytes, wire_size(o.held->votes));
+  EXPECT_FALSE(o.reverse.delta);
+  EXPECT_EQ(o.reverse.list_size, 1u);
+  EXPECT_FALSE(bob.agent.counterparts().known(0));
+  EXPECT_EQ(alice.agent.ballot_box().size(), 0u);
+  EXPECT_EQ(alice.agent.vox_cache().list_count(), 0u);
+  EXPECT_EQ(o.vox_topk, o.held->topk.size());
+  ASSERT_FALSE(o.held->topk.empty());
+  EXPECT_EQ(alice.agent.receive_votes(o.held->votes, 17),
+            ReceiveResult::kAccepted);
+  alice.agent.receive_topk(o.held->topk);
+  EXPECT_EQ(alice.agent.ballot_box().unique_voters(), 1u);
+  EXPECT_EQ(alice.agent.vox_cache().list_count(), 1u);
+}
+
+TEST_F(EncounterVerdictTest, DeferredDamagedReplyRejectsOnDelivery) {
+  util::EncounterFaults verdict;
+  verdict.delay_reply = 7;
+  verdict.reply_payload = util::PayloadFault::kTruncated;
+  const VoteEncounterOutcome o =
+      vote_encounter(alice.agent, bob.agent, 10, verdict);
+  ASSERT_TRUE(o.held.has_value());
+  EXPECT_EQ(o.reverse.list_size, 1u);  // as built, before the damage
+  EXPECT_EQ(alice.agent.receive_votes(o.held->votes, 17),
+            ReceiveResult::kBadSignature);
+  EXPECT_EQ(alice.agent.ballot_box().size(), 0u);
 }
 
 }  // namespace
