@@ -1,6 +1,7 @@
 // tribvote_load — drive a listening tribvote_node with back-to-back vote
-// encounters and report throughput: encounters/sec and bytes/sec as seen
-// from this side's NetStats. Pair with:
+// encounters and report throughput: encounters/sec, bytes/sec and the
+// send/recv calls that moved bytes, as seen from this side's NetStats.
+// Pair with:
 //
 //   ./tribvote_node --id 1 --seed 1 --listen 0 --casts 2 &
 //   ./tribvote_load --connect 127.0.0.1:<port> --id 2 --seed 2 --seconds 5
@@ -135,6 +136,9 @@ int main(int argc, char** argv) {
   std::printf("load frames_out %llu frames_in %llu\n",
               static_cast<unsigned long long>(s.frames_out),
               static_cast<unsigned long long>(s.frames_in));
+  std::printf("load sends %llu recvs %llu\n",
+              static_cast<unsigned long long>(s.sends),
+              static_cast<unsigned long long>(s.recvs));
   if (ec != nullptr) {
     std::printf("load open_digest %llu open_full %llu\n",
                 static_cast<unsigned long long>(ec->open_digest),

@@ -168,6 +168,9 @@ void report_telemetry(const net::NodeService& svc,
   std::printf("net bytes_in %llu bytes_out %llu\n",
               static_cast<unsigned long long>(s.bytes_in),
               static_cast<unsigned long long>(s.bytes_out));
+  std::printf("net sends %llu recvs %llu\n",
+              static_cast<unsigned long long>(s.sends),
+              static_cast<unsigned long long>(s.recvs));
   std::printf(
       "net checksum_rejects %llu malformed %llu truncated %llu "
       "protocol_errors %llu reconnects %llu\n",

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -88,6 +87,15 @@ std::size_t EventLoop::pending_timers() const noexcept {
   return timers_.size();
 }
 
+EventLoop::HookId EventLoop::add_before_poll(std::function<void()> fn) {
+  hooks_.push_back({next_hook_id_, std::move(fn)});
+  return next_hook_id_++;
+}
+
+void EventLoop::remove_before_poll(HookId id) {
+  std::erase_if(hooks_, [id](const Hook& h) { return h.id == id; });
+}
+
 int EventLoop::clip_to_timers(int timeout_ms) const {
   if (timers_.empty()) return timeout_ms;
   auto earliest = timers_.front().due;
@@ -127,44 +135,45 @@ int EventLoop::fire_due_timers(Clock::time_point now) {
 }
 
 int EventLoop::poll_once(int timeout_ms) {
-  std::vector<pollfd> fds;
-  std::vector<int> owners;
-  fds.reserve(entries_.size());
+  for (const Hook& h : hooks_) h.fn();
+  fds_.clear();
+  owners_.clear();
   for (const Entry& e : entries_) {
     if (e.dead) continue;
     pollfd p{};
     p.fd = e.fd;
     p.events = POLLIN;
     if (e.want_write) p.events |= POLLOUT;
-    fds.push_back(p);
-    owners.push_back(e.fd);
+    fds_.push_back(p);
+    owners_.push_back(e.fd);
   }
   const int wait_ms = clip_to_timers(timeout_ms);
-  if (fds.empty()) {
+  if (fds_.empty()) {
     // No fds: sleep out the wait budget (poll with no entries is a portable
     // millisecond sleep), then fire whatever came due.
     if (wait_ms != 0) ::poll(nullptr, 0, wait_ms);
     return fire_due_timers(Clock::now());
   }
-  const int n = ::poll(fds.data(), fds.size(), wait_ms);
-  if (n < 0) return n;
-  if (n == 0) return fire_due_timers(Clock::now());
+  const int n = ::poll(fds_.data(), fds_.size(), wait_ms);
+  // A signal that interrupts the wait is a pass with no events.
+  if (n < 0 && errno != EINTR) return n;
+  if (n <= 0) return fire_due_timers(Clock::now());
 
   dispatching_ = true;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    const short got = fds[i].revents;
+  for (std::size_t i = 0; i < fds_.size(); ++i) {
+    const short got = fds_[i].revents;
     if (got == 0) continue;
     // Re-find per dispatch (an earlier callback may have removed this fd)
     // and invoke through a COPY of the std::function: the callback may call
     // add(), reallocating entries_ and destroying the closure it is
     // executing from.
-    Entry* e = find(owners[i]);
+    Entry* e = find(owners_[i]);
     if (e == nullptr) continue;
     if ((got & (POLLIN | POLLERR | POLLHUP)) != 0 && e->handler.on_readable) {
       const std::function<void()> cb = e->handler.on_readable;
       cb();
     }
-    e = find(owners[i]);
+    e = find(owners_[i]);
     if (e == nullptr) continue;
     if ((got & POLLOUT) != 0 && e->handler.on_writable) {
       const std::function<void()> cb = e->handler.on_writable;

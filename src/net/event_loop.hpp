@@ -9,8 +9,14 @@
 // Single ownership rule: callbacks run on the thread calling poll_once();
 // a callback may add or remove fds (including its own), and schedule or
 // cancel timers (including its own) — removals take effect before the next
-// dispatch.
+// dispatch. poll_once is not re-entrant: no callback may call it.
+//
+// Before-poll hooks run at the top of every pass, before the loop blocks —
+// the write pass of a NodeService, which queues frames while it handles
+// events and sends each connection's queued bytes here in one write.
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -28,6 +34,7 @@ class EventLoop {
   };
 
   using TimerId = std::uint64_t;
+  using HookId = std::uint64_t;
 
   /// Register `fd`. The loop never closes fds — owners do.
   void add(int fd, Handler handler);
@@ -44,8 +51,15 @@ class EventLoop {
   void cancel_timer(TimerId id);
   [[nodiscard]] std::size_t pending_timers() const noexcept;
 
-  /// One poll + dispatch pass. Returns the number of fds that fired (fired
-  /// timers count as one each), 0 on timeout, -1 on poll error.
+  /// Run `fn` at the top of every poll_once() pass, before the wait, in
+  /// registration order. A hook may do anything a callback may, except add
+  /// or remove hooks. Returns an id for remove_before_poll.
+  HookId add_before_poll(std::function<void()> fn);
+  void remove_before_poll(HookId id);
+
+  /// One hooks + poll + dispatch pass. Returns the number of fds that fired
+  /// (fired timers count as one each), 0 on timeout or when a signal cut
+  /// the wait short (EINTR), -1 on any other poll error.
   /// `timeout_ms` < 0 blocks until an fd or timer fires; the wait is
   /// always clipped to the earliest pending timer's due time.
   int poll_once(int timeout_ms);
@@ -78,9 +92,19 @@ class EventLoop {
   /// Fire every timer due at `now`; returns the count fired.
   int fire_due_timers(Clock::time_point now);
 
+  struct Hook {
+    HookId id = 0;
+    std::function<void()> fn;
+  };
+
   std::vector<Entry> entries_;
   std::vector<Timer> timers_;  // unordered; scanned on fire (small N)
+  std::vector<Hook> hooks_;
+  // poll(2) arguments, rebuilt in place each pass (no per-pass allocation).
+  std::vector<pollfd> fds_;
+  std::vector<int> owners_;  // fds_[i] was built from the entry for owners_[i]
   TimerId next_timer_id_ = 1;
+  HookId next_hook_id_ = 1;
   bool dispatching_ = false;
 };
 

@@ -43,10 +43,14 @@ NodeService::NodeService(EventLoop& loop, PeerId self,
     t_imp_stalled_ = registry_->counter("net.impair.stalled");
     t_imp_ge_bad_ = registry_->counter("net.impair.ge_bad_chunks");
     t_imp_part_ = registry_->counter("net.impair.partition_drops");
+    t_sends_ = registry_->counter("net.sends");
+    t_recvs_ = registry_->counter("net.recvs");
   }
+  flush_hook_ = loop_->add_before_poll([this] { flush_queued(); });
 }
 
 NodeService::~NodeService() {
+  loop_->remove_before_poll(flush_hook_);
   for (auto& [id, c] : conns_) {
     if (!c.closed) close_internal(c, false);
   }
@@ -76,6 +80,8 @@ void NodeService::mirror_telemetry() {
   registry_->set_total(t_desc_forged_, stats_.descriptors_forged);
   registry_->set_total(t_hello_to_, stats_.hello_timeouts);
   registry_->set_total(t_enc_to_, stats_.encounter_timeouts);
+  registry_->set_total(t_sends_, stats_.sends);
+  registry_->set_total(t_recvs_, stats_.recvs);
   if (impair_ != nullptr && impair_->enabled()) {
     const ImpairStats& s = impair_->stats();
     registry_->set_total(t_imp_chunks_, s.chunks);
@@ -329,16 +335,34 @@ void NodeService::send_hello(Connection& c) {
   f.channel = c.outbound ? 0 : 1;
   f.payload = encode_hello({self_, keys_->pub});
   send_frame(c, f);
+  // At once, not at the next write pass: a dial that is refused must
+  // surface (and close) inside connect()/reconnect(), where the
+  // EncounterScheduler counts it.
+  flush(c);
   c.hello_sent = true;
 }
 
 void NodeService::send_frame(Connection& c, const Frame& frame) {
   if (c.closed) return;
   const std::size_t before = c.outbuf.size();
+  if (before == 0) queued_.push_back(c.id);
   encode_frame(frame, c.outbuf);
   ++stats_.frames_out;
   stats_.bytes_out += c.outbuf.size() - before;
-  flush(c);
+}
+
+void NodeService::flush_queued() {
+  if (queued_.empty()) return;
+  // By index: a flush that fails closes its connection, and the closed
+  // hook may queue frames elsewhere, appending to queued_ mid-walk.
+  for (std::size_t i = 0; i < queued_.size(); ++i) {
+    Connection* c = get(queued_[i]);
+    if (c != nullptr && !c->closed && c->out_cursor < c->outbuf.size()) {
+      flush(*c);
+    }
+  }
+  queued_.clear();
+  mirror_telemetry();
 }
 
 void NodeService::flush(Connection& c) {
@@ -347,6 +371,7 @@ void NodeService::flush(Connection& c) {
         ::send(c.fd, c.outbuf.data() + c.out_cursor,
                c.outbuf.size() - c.out_cursor, MSG_NOSIGNAL);
     if (n > 0) {
+      ++stats_.sends;
       c.out_cursor += static_cast<std::size_t>(n);
       continue;
     }
@@ -374,9 +399,13 @@ void NodeService::on_readable(int conn) {
   for (;;) {
     const ssize_t n = ::recv(c->fd, buf, sizeof(buf), 0);
     if (n > 0) {
+      ++stats_.recvs;
       stats_.bytes_in += static_cast<std::uint64_t>(n);
       ingest_bytes(*c, buf, static_cast<std::size_t>(n));
       if (c->closed) return;
+      // A short read emptied the socket; whatever arrives next (or EOF)
+      // fires the next pass, so no recv is spent on EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -575,6 +604,18 @@ bool NodeService::handle_frame(Connection& c, const Frame& frame) {
 void NodeService::close_internal(Connection& c, bool count_close,
                                  CloseReason reason) {
   if (c.closed) return;
+  if (c.out_cursor < c.outbuf.size()) {
+    // One non-blocking write of whatever is still queued: frames emitted
+    // before the close (a BYE, replies ahead of a protocol error) leave
+    // as they would have had the write pass run first.
+    if (::send(c.fd, c.outbuf.data() + c.out_cursor,
+               c.outbuf.size() - c.out_cursor,
+               MSG_NOSIGNAL) > 0) {
+      ++stats_.sends;
+    }
+  }
+  c.outbuf.clear();
+  c.out_cursor = 0;
   loop_->remove(c.fd);
   ::close(c.fd);
   c.closed = true;

@@ -11,6 +11,14 @@
 // further"; a node that has sent and received BYE on a connection may
 // close it knowing no encounter is cut short.
 //
+// Writes: send_frame only encodes into the connection's output buffer.
+// HELLO goes out at once; every other frame waits for the service's
+// before-poll hook, which sends each connection's queued bytes in one
+// write just before the event loop blocks — one write per flight, however
+// many frames an engine step or a timer emitted. Reads drain the socket
+// until a recv comes back short of the buffer; poll is level-triggered, so
+// anything left (bytes or EOF) fires on the next pass.
+//
 // Every transport event lands in the PR 5 telemetry registry (when one is
 // wired) under net.*: frames/bytes in/out, checksum rejects, malformed
 // streams, truncated tails, reconnects — the socket path reports through
@@ -69,6 +77,8 @@ struct NetStats {
   std::uint64_t hello_timeouts = 0;      ///< watchdog fired awaiting HELLO
   std::uint64_t encounter_timeouts = 0;  ///< watchdog fired mid-encounter
   std::uint64_t impair_resets = 0;       ///< closes forced by the chaos shim
+  std::uint64_t sends = 0;  ///< ::send calls that moved bytes
+  std::uint64_t recvs = 0;  ///< ::recv calls that returned bytes
 };
 
 class NodeService {
@@ -115,6 +125,8 @@ class NodeService {
   /// Declare we will initiate nothing more on this connection.
   void send_bye(int conn);
   [[nodiscard]] bool bye_received(int conn) const;
+  /// Close the connection. Queued bytes get one non-blocking write first,
+  /// so `send_bye(c); close(c);` delivers the BYE without a loop pass.
   void close(int conn);
 
   [[nodiscard]] const NetStats& stats() const noexcept { return stats_; }
@@ -235,6 +247,8 @@ class NodeService {
   void send_frame(Connection& c, const Frame& frame);
   void send_hello(Connection& c);
   void flush(Connection& c);
+  /// The before-poll hook: flush every connection with queued bytes.
+  void flush_queued();
   void close_internal(Connection& c, bool count_close,
                       CloseReason reason = CloseReason::kLocal);
   void mirror_telemetry();
@@ -258,6 +272,10 @@ class NodeService {
   Impairment* impair_ = nullptr;
   int hello_timeout_ms_ = 0;
   int encounter_timeout_ms_ = 0;
+  EventLoop::HookId flush_hook_ = 0;
+  // Ids of connections whose outbuf went from empty to queued since the
+  // last write pass (back-pressured ones wait for on_writable instead).
+  std::vector<int> queued_;
 
   telemetry::CounterId t_frames_in_{}, t_frames_out_{}, t_bytes_in_{},
       t_bytes_out_{}, t_checksum_{}, t_malformed_{}, t_truncated_{},
@@ -265,7 +283,7 @@ class NodeService {
       t_px_out_{}, t_desc_accepted_{}, t_desc_forged_{}, t_hello_to_{},
       t_enc_to_{}, t_imp_chunks_{}, t_imp_dropped_{}, t_imp_delayed_{},
       t_imp_corrupted_{}, t_imp_truncated_{}, t_imp_stalled_{},
-      t_imp_ge_bad_{}, t_imp_part_{};
+      t_imp_ge_bad_{}, t_imp_part_{}, t_sends_{}, t_recvs_{};
 };
 
 }  // namespace tribvote::net

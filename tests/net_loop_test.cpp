@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
@@ -79,6 +83,40 @@ TEST(EventLoopTimers, TimerScheduledFromCallbackWaitsForNextPass) {
   EXPECT_EQ(cascade, 1);
   loop.poll_once(20);
   EXPECT_EQ(cascade, 2);
+}
+
+TEST(EventLoopTimers, SignalDuringWaitIsAPassNotAnError) {
+  // poll(2) is never restarted after a signal handler, SA_RESTART or not:
+  // EINTR must read as an empty pass, not as a failed wait.
+  struct sigaction act {};
+  struct sigaction old {};
+  act.sa_handler = [](int) {};
+  sigemptyset(&act.sa_mask);
+  act.sa_flags = 0;  // no SA_RESTART
+  ASSERT_EQ(::sigaction(SIGUSR1, &act, &old), 0);
+
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  EventLoop loop;  // one quiet fd, so the wait is a real poll over fds
+  loop.add(pipe_fds[0], {.on_readable = [] {}, .on_writable = nullptr});
+  bool fired = false;
+  loop.schedule_after(30, [&] { fired = true; });
+
+  const pthread_t waiter = ::pthread_self();
+  std::thread signaller([waiter] {
+    for (int i = 0; i < 3; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ::pthread_kill(waiter, SIGUSR1);
+    }
+  });
+  const bool ok = loop.run_until([&] { return fired; }, kStepMs);
+  signaller.join();
+  loop.remove(pipe_fds[0]);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+  ::sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(ok);
+  EXPECT_TRUE(fired);
 }
 
 // ---- scheduler fixtures ----------------------------------------------------

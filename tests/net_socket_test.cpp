@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "crypto/schnorr.hpp"
 #include "net/codec.hpp"
@@ -207,6 +208,92 @@ TEST(NetSocket, ReconnectRestartsSessionAndCounts) {
   drive(loop,
         [&] { return svc_b.engine_counters(cb)->encounters_completed == 1; });
   EXPECT_GT(a.wire->ballot_box().size(), 0u);
+}
+
+// ---- write batching --------------------------------------------------------
+
+/// A ready pair of services on one loop: `a` listens, `b` dials.
+std::pair<int, int> handshake(EventLoop& loop, NodeService& a, NodeService& b) {
+  EXPECT_TRUE(a.listen(0));
+  const int cb = b.connect("127.0.0.1", a.listen_port());
+  EXPECT_GE(cb, 0);
+  EXPECT_TRUE(loop.run_until(
+      [&] {
+        return b.ready(cb) && a.connection_count() == 1 &&
+               a.ready(a.connections().front());
+      },
+      kStepMs));
+  const std::vector<int> accepted = a.connections();
+  return {accepted.empty() ? -1 : accepted.front(), cb};
+}
+
+TEST(NetSocket, OneSendPerFlightOnWarmDigestEncounters) {
+  // The steady state net_loopback times: the responder cast its list once,
+  // the initiator casts two votes before every encounter. Each flight —
+  // every frame one engine step emits — leaves in one send, and the
+  // initiator's ENC_END rides with the next encounter's opening frames.
+  Twin a = make_twin(1, 5001);  // responder
+  Twin b = make_twin(2, 5002);  // initiator
+  for (ModeratorId m = 1; m <= 24; ++m) {
+    a.wire->cast_vote(m, m % 2 == 0 ? Opinion::kPositive : Opinion::kNegative,
+                      0);
+  }
+  EventLoop loop;
+  telemetry::Registry registry(1);
+  NodeService svc_a(loop, 1, a.keys, *a.wire, nullptr, &registry);
+  NodeService svc_b(loop, 2, b.keys, *b.wire, nullptr, nullptr);
+  const auto [ca, cb] = handshake(loop, svc_a, svc_b);
+
+  util::Rng rng(5003);
+  std::uint64_t done = 0;
+  const auto encounter = [&] {
+    const Time now = static_cast<Time>(done + 1) * 1000;
+    for (Time k = 0; k < 2; ++k) {
+      b.wire->cast_vote(static_cast<ModeratorId>(1 + rng.next_below(24)),
+                        rng.next_bool(0.5) ? Opinion::kPositive
+                                           : Opinion::kNegative,
+                        now - 1000 + k + 1);
+    }
+    ASSERT_TRUE(svc_b.initiate_vote_encounter(cb, now));
+    ++done;
+    drive(loop, [&] {
+      return svc_b.initiator_idle(cb) &&
+             svc_b.engine_counters(cb)->encounters_completed == done;
+    });
+  };
+  for (int i = 0; i < 5; ++i) encounter();  // cold full legs, then warm
+
+  constexpr std::uint64_t kWarm = 50;
+  const NetStats a0 = svc_a.stats();
+  const std::uint64_t digest0 = svc_b.engine_counters(cb)->open_digest;
+  for (std::uint64_t i = 0; i < kWarm; ++i) encounter();
+  EXPECT_EQ(svc_b.engine_counters(cb)->open_digest - digest0, kWarm);
+  EXPECT_EQ(svc_a.stats().sends - a0.sends, 3 * kWarm);
+  EXPECT_GE(svc_a.stats().recvs - a0.recvs, 3 * kWarm);
+
+  svc_b.send_bye(cb);
+  drive(loop, [&] { return svc_a.bye_received(ca); });
+  // Over its whole life, HELLO and BYE included: at most 4 per encounter.
+  EXPECT_LE(svc_b.stats().sends, 4 * done + 2);
+  EXPECT_EQ(registry.total_by_name("net.sends"), svc_a.stats().sends);
+  EXPECT_EQ(registry.total_by_name("net.recvs"), svc_a.stats().recvs);
+}
+
+TEST(NetSocket, QueuedByeReachesPeerWhenClosedAtOnce) {
+  // No loop pass between the BYE and the close: the close itself must
+  // write what is queued, or the peer sees a bare EOF.
+  Twin a = make_twin(1, 5101);
+  Twin b = make_twin(2, 5102);
+  EventLoop loop;
+  NodeService svc_a(loop, 1, a.keys, *a.wire, nullptr, nullptr);
+  NodeService svc_b(loop, 2, b.keys, *b.wire, nullptr, nullptr);
+  const auto [ca, cb] = handshake(loop, svc_a, svc_b);
+
+  svc_b.send_bye(cb);
+  svc_b.close(cb);
+  drive(loop, [&] { return svc_a.connection_count() == 0; });
+  EXPECT_TRUE(svc_a.bye_received(ca));
+  EXPECT_EQ(svc_a.stats().protocol_errors, 0u);
 }
 
 // ---- hostile byte streams --------------------------------------------------
